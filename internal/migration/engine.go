@@ -270,9 +270,13 @@ func (e *Engine) submit(root ownership.ID, to cluster.ServerID, subtree bool) *F
 	f := newFuture()
 	go func() {
 		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		defer e.unclaim(root)
-		f.complete(e.run(root, from, to, members, subtree))
+		err := e.run(root, from, to, members, subtree)
+		// Release the claim and the worker slot before completing: a caller
+		// woken by the future may move the same group again at once, and
+		// must not find it still claimed.
+		e.unclaim(root)
+		<-e.sem
+		f.complete(err)
 	}()
 	return f
 }

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -383,6 +384,51 @@ func TestRecoverAtEveryStep(t *testing.T) {
 			if _, err := f.rt.Submit(id, "inc"); err != nil {
 				t.Fatalf("step %d: post-recovery event on %v: %v", step, id, err)
 			}
+		}
+	}
+}
+
+// TestBackToBackGroupMoves moves one group back and forth with no pause
+// between moves. The engine must release the group's claim and its worker
+// slot before it completes the future: the moment the future completes the
+// claim table and the semaphore must be empty, and an immediate re-move must
+// never find the group still claimed (ErrAlreadyMigrating). The caller spins
+// on the future instead of parking on it, so it observes completion within
+// nanoseconds — a parked waiter is woken only after the worker goroutine
+// yields, which would hide a late release.
+func TestBackToBackGroupMoves(t *testing.T) {
+	const moves = 200
+	f := newFixture(t, 2)
+	root, members := f.group(t, f.server(t, 0), 2)
+	servers := []cluster.ServerID{f.server(t, 0), f.server(t, 1)}
+	e := f.engine
+	for i := 0; i < moves; i++ {
+		fut := e.MigrateGroupAsync(root, servers[(i+1)%2])
+		for spins := 0; ; spins++ {
+			select {
+			case <-fut.Done():
+			default:
+				if spins%1024 == 1023 {
+					runtime.Gosched() // let a single-P runtime make progress
+				}
+				continue
+			}
+			break
+		}
+		e.mu.Lock()
+		claimed := len(e.inflight)
+		e.mu.Unlock()
+		busy := len(e.sem)
+		if err := fut.Err(); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+		if claimed != 0 || busy != 0 {
+			t.Fatalf("move %d completed with %d members still claimed and %d worker slots held", i, claimed, busy)
+		}
+	}
+	for _, id := range members {
+		if srv, _ := f.rt.Directory().Locate(id); srv != servers[0] {
+			t.Fatalf("member %v on %v after %d moves; want %v", id, srv, moves, servers[0])
 		}
 	}
 }

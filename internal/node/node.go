@@ -1,6 +1,6 @@
 // Package node implements AEON's distributed node runtime: it wraps one
 // process's server-slice of the system and attaches it to a transport.Mesh,
-// so N AEON servers run as N OS processes exchanging gob frames instead of
+// so N AEON servers run as N OS processes exchanging wire frames instead of
 // sharing an address space.
 //
 // Deployment model. Every node process builds the same cluster topology and
@@ -383,12 +383,11 @@ func (n *Node) Submit(target ownership.ID, method string, args ...any) (any, err
 func (n *Node) Ping(peer transport.NodeID) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	buf, payload, err := encodeFramePooled(pingResp{Node: n.id})
+	payload, err := encodeFrame(pingResp{Node: n.id})
 	if err != nil {
 		return err
 	}
 	_, err = n.ep.Call(ctx, peer, transport.Message{Kind: KindPing, Payload: payload})
-	releaseFrameBuf(buf)
 	return err
 }
 
@@ -405,22 +404,18 @@ func (n *Node) Shutdown(peer transport.NodeID) error {
 // including the mesh state transfer — runs on the owning node; this call
 // blocks until the group is live on the destination.
 func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to cluster.ServerID) error {
-	buf, payload, err := encodeFramePooled(migrateReq{Root: root, To: to})
+	req := schema.MigrateReq{Root: root, To: int64(to)}
+	payload, err := req.MarshalWire(nil)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
 	defer cancel()
 	raw, err := n.ep.Call(ctx, owner, transport.Message{Kind: KindMigrate, Payload: payload})
-	releaseFrameBuf(buf)
 	if err != nil {
 		return fmt.Errorf("migrate %v via %v: %w", root, owner, err)
 	}
-	var resp migrateResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return err
-	}
-	return WireError(resp.ErrKind, resp.Err)
+	return ackError(raw.Payload)
 }
 
 // notifyReplicated is the replication plane's propagation hint: after a
@@ -676,12 +671,7 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	case KindStore:
-		var sr storeReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
-			return transport.Message{}, err
-		}
-		payload, err := encodeFrame(n.handleStore(sr))
-		return transport.Message{Kind: KindStore, Payload: payload}, err
+		return serveStoreFrame(req.Payload, n.handleStore)
 	case KindTransfer:
 		var tr transferReq
 		if schema.IsHotFrame(req.Payload) {
@@ -700,25 +690,22 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		} else if err := decodeFrame(req.Payload, &tr); err != nil {
 			return transport.Message{}, err
 		}
-		msg, kind := errFields(n.handleTransfer(tr))
-		payload, err := encodeFrame(transferResp{Err: msg, ErrKind: kind})
-		return transport.Message{Kind: KindTransfer, Payload: payload}, err
+		return ackFrame(KindTransfer, n.handleTransfer(tr))
 	case KindTransferQuery:
-		var tq transferQueryReq
-		if err := decodeFrame(req.Payload, &tq); err != nil {
+		var tq schema.TransferQueryReq
+		if err := tq.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
 		host, ok := n.rt.Directory().Locate(tq.Probe)
-		payload, err := encodeFrame(transferQueryResp{Committed: ok && host == tq.To})
+		qr := schema.TransferQueryResp{Committed: ok && host == cluster.ServerID(tq.To)}
+		payload, err := qr.MarshalWire(nil)
 		return transport.Message{Kind: KindTransferQuery, Payload: payload}, err
 	case KindMigrate:
-		var mr migrateReq
-		if err := decodeFrame(req.Payload, &mr); err != nil {
+		var mr schema.MigrateReq
+		if err := mr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		msg, kind := errFields(n.handleMigrate(mr))
-		payload, err := encodeFrame(migrateResp{Err: msg, ErrKind: kind})
-		return transport.Message{Kind: KindMigrate, Payload: payload}, err
+		return ackFrame(KindMigrate, n.handleMigrate(mr.Root, cluster.ServerID(mr.To)))
 	case KindReplicate:
 		if schema.IsHotFrame(req.Payload) {
 			var nr schema.NotifyRec
@@ -930,6 +917,13 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 		dir := n.rt.Directory()
 		host, ok := dir.Locate(dom)
 		if !ok {
+			// An unmaterialized virtual join: materialize it and re-read
+			// the directory, as handleSubmit does.
+			if _, cerr := n.rt.Context(dom); cerr == nil {
+				host, ok = dir.Locate(dom)
+			}
+		}
+		if !ok {
 			msg, kind := errFields(fmt.Errorf("%v: %w", dom, core.ErrUnknownContext))
 			out[i].Err, out[i].ErrKind = msg, kind
 			continue
@@ -1011,27 +1005,27 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 
 // handleMigrate serves a commanded migration: only the node embodying the
 // group's current host may run it (the migration engine is source-driven).
-func (n *Node) handleMigrate(req migrateReq) error {
-	host, ok := n.rt.Directory().Locate(req.Root)
+func (n *Node) handleMigrate(root ownership.ID, to cluster.ServerID) error {
+	host, ok := n.rt.Directory().Locate(root)
 	if !ok {
-		return fmt.Errorf("%v: %w", req.Root, core.ErrUnknownContext)
+		return fmt.Errorf("%v: %w", root, core.ErrUnknownContext)
 	}
 	if !n.isLocal(host) {
-		return fmt.Errorf("migrate %v hosted on %v: %w", req.Root, host, ErrNotLocalServer)
+		return fmt.Errorf("migrate %v hosted on %v: %w", root, host, ErrNotLocalServer)
 	}
 	n.emit("migration.start", map[string]any{
-		"node": int64(n.id), "root": uint64(req.Root), "from": int64(host), "to": int64(req.To),
+		"node": int64(n.id), "root": uint64(root), "from": int64(host), "to": int64(to),
 	})
 	start := time.Now()
-	err := n.mgr.MigrateGroup(req.Root, req.To)
+	err := n.mgr.MigrateGroup(root, to)
 	if err != nil {
 		n.emit("migration.abort", map[string]any{
-			"node": int64(n.id), "root": uint64(req.Root), "to": int64(req.To), "err": err.Error(),
+			"node": int64(n.id), "root": uint64(root), "to": int64(to), "err": err.Error(),
 		})
 		return err
 	}
 	n.emit("migration.commit", map[string]any{
-		"node": int64(n.id), "root": uint64(req.Root), "from": int64(host), "to": int64(req.To),
+		"node": int64(n.id), "root": uint64(root), "from": int64(host), "to": int64(to),
 		"us": time.Since(start).Microseconds(),
 	})
 	return nil
@@ -1091,33 +1085,26 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		}
 		return fmt.Errorf("transfer to %v: %w", to, err)
 	}
-	var resp transferResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return err
-	}
-	return WireError(resp.ErrKind, resp.Err)
+	return ackError(raw.Payload)
 }
 
 // transferCommitted asks the destination whether it committed a transfer
 // whose acknowledgment was lost. Any probe failure reports false — the
 // caller then aborts and leaves convergence to WAL recovery.
 func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
-	buf, payload, err := encodeFramePooled(transferQueryReq{Probe: probe, To: to})
+	req := schema.TransferQueryReq{Probe: probe, To: int64(to)}
+	payload, err := req.MarshalWire(nil)
 	if err != nil {
 		return false
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
 	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: KindTransferQuery, Payload: payload})
-	releaseFrameBuf(buf)
 	if err != nil {
 		return false
 	}
-	var resp transferQueryResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return false
-	}
-	return resp.Committed
+	var resp schema.TransferQueryResp
+	return resp.UnmarshalWire(raw.Payload) == nil && resp.Committed
 }
 
 // handleTransfer installs a migrated group on this node: decode and set
@@ -1171,11 +1158,11 @@ func (n *Node) handleTransfer(req transferReq) error {
 
 // handleStore serves one cloud-store operation from the authoritative local
 // store. Non-store nodes refuse typed, so a misconfigured peer fails fast.
-func (n *Node) handleStore(req storeReq) storeResp {
+func (n *Node) handleStore(req *schema.StoreReq) schema.StoreResp {
 	st := n.cfg.LocalStore
 	if !n.servesStore || st == nil {
 		msg, kind := errFields(fmt.Errorf("node %v: %w", n.id, ErrNotStoreNode))
-		return storeResp{Err: msg, ErrKind: kind}
+		return schema.StoreResp{Err: msg, ErrKind: kind}
 	}
 	return execStoreOp(st, n.id, req)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -62,24 +63,27 @@ func (r *RemoteStore) endpoint() transport.Endpoint {
 	return r.ep
 }
 
-// call performs one store exchange. Store frames stay on the gob codec
-// (control path), but encode into a pooled buffer: endpoints do not retain
-// request payloads past Call, so the buffer recycles per exchange.
-func (r *RemoteStore) call(req storeReq) (storeResp, error) {
-	buf, payload, err := encodeFramePooled(req)
+// call performs one store exchange on the hot codec. The request encodes
+// into a pooled buffer: endpoints do not retain request payloads past Call,
+// so the buffer recycles per exchange.
+func (r *RemoteStore) call(req schema.StoreReq) (schema.StoreResp, error) {
+	buf := schema.GetFrameBuf()
+	payload, err := req.MarshalWire((*buf)[:0])
 	if err != nil {
-		return storeResp{}, err
+		schema.PutFrameBuf(buf)
+		return schema.StoreResp{}, err
 	}
+	*buf = payload
 	ctx, cancel := r.callCtx()
 	defer cancel()
 	raw, err := r.endpoint().Call(ctx, r.to, transport.Message{Kind: KindStore, Payload: payload})
-	releaseFrameBuf(buf)
+	schema.PutFrameBuf(buf)
 	if err != nil {
-		return storeResp{}, fmt.Errorf("store %s via %v: %w", req.Op, r.to, err)
+		return schema.StoreResp{}, fmt.Errorf("store %s via %v: %w", req.Op, r.to, err)
 	}
-	var resp storeResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return storeResp{}, err
+	var resp schema.StoreResp
+	if err := resp.UnmarshalWire(raw.Payload); err != nil {
+		return schema.StoreResp{}, fmt.Errorf("store %s via %v: %w", req.Op, r.to, err)
 	}
 	if resp.Err != "" {
 		// Return the decoded response alongside the typed error: Promote's
@@ -91,7 +95,7 @@ func (r *RemoteStore) call(req storeReq) (storeResp, error) {
 
 // Get implements cloudstore.API.
 func (r *RemoteStore) Get(key string) ([]byte, uint64, error) {
-	resp, err := r.call(storeReq{Op: storeGet, Key: key})
+	resp, err := r.call(schema.StoreReq{Op: storeGet, Key: key})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -100,7 +104,7 @@ func (r *RemoteStore) Get(key string) ([]byte, uint64, error) {
 
 // Put implements cloudstore.API.
 func (r *RemoteStore) Put(key string, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePut, Key: key, Value: value})
+	resp, err := r.call(schema.StoreReq{Op: storePut, Key: key, Value: value})
 	if err != nil {
 		return 0, err
 	}
@@ -114,7 +118,7 @@ func (r *RemoteStore) PutBatch(entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	resp, err := r.call(storeReq{Op: storePutBatch, Entries: entries})
+	resp, err := r.call(schema.StoreReq{Op: storePutBatch, Entries: entries})
 	if err != nil {
 		return 0, err
 	}
@@ -127,7 +131,7 @@ func (r *RemoteStore) CreateBatch(entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	resp, err := r.call(storeReq{Op: storeCreateBatch, Entries: entries})
+	resp, err := r.call(schema.StoreReq{Op: storeCreateBatch, Entries: entries})
 	if err != nil {
 		return 0, err
 	}
@@ -136,7 +140,7 @@ func (r *RemoteStore) CreateBatch(entries map[string][]byte) (uint64, error) {
 
 // CAS implements cloudstore.API.
 func (r *RemoteStore) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeCAS, Key: key, Expect: expect, Value: value})
+	resp, err := r.call(schema.StoreReq{Op: storeCAS, Key: key, Expect: expect, Value: value})
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +149,7 @@ func (r *RemoteStore) CAS(key string, expect uint64, value []byte) (uint64, erro
 
 // Delete implements cloudstore.API.
 func (r *RemoteStore) Delete(key string) error {
-	_, err := r.call(storeReq{Op: storeDelete, Key: key})
+	_, err := r.call(schema.StoreReq{Op: storeDelete, Key: key})
 	return err
 }
 
@@ -155,13 +159,13 @@ func (r *RemoteStore) DeleteBatch(keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	_, err := r.call(storeReq{Op: storeDelBatch, Keys: keys})
+	_, err := r.call(schema.StoreReq{Op: storeDelBatch, Keys: keys})
 	return err
 }
 
 // List implements cloudstore.API.
 func (r *RemoteStore) List(prefix string) ([]string, error) {
-	resp, err := r.call(storeReq{Op: storeList, Key: prefix})
+	resp, err := r.call(schema.StoreReq{Op: storeList, Key: prefix})
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +174,7 @@ func (r *RemoteStore) List(prefix string) ([]string, error) {
 
 // GetF implements cloudstore.ReplicaAPI: Get under the partition fence.
 func (r *RemoteStore) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
-	resp, err := r.call(storeReq{Op: storeGetF, Part: part, Epoch: epoch, Key: key})
+	resp, err := r.call(schema.StoreReq{Op: storeGetF, Part: part, Epoch: epoch, Key: key})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -179,7 +183,7 @@ func (r *RemoteStore) GetF(part int, epoch uint64, key string) ([]byte, uint64, 
 
 // ListF implements cloudstore.ReplicaAPI: List under the partition fence.
 func (r *RemoteStore) ListF(part int, epoch uint64, prefix string) ([]string, error) {
-	resp, err := r.call(storeReq{Op: storeListF, Part: part, Epoch: epoch, Key: prefix})
+	resp, err := r.call(schema.StoreReq{Op: storeListF, Part: part, Epoch: epoch, Key: prefix})
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +192,7 @@ func (r *RemoteStore) ListF(part int, epoch uint64, prefix string) ([]string, er
 
 // PutF implements cloudstore.ReplicaAPI: Put under the partition fence.
 func (r *RemoteStore) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePutF, Part: part, Epoch: epoch, Key: key, Value: value})
+	resp, err := r.call(schema.StoreReq{Op: storePutF, Part: part, Epoch: epoch, Key: key, Value: value})
 	if err != nil {
 		return 0, err
 	}
@@ -201,7 +205,7 @@ func (r *RemoteStore) PutBatchF(part int, epoch uint64, entries map[string][]byt
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	resp, err := r.call(storeReq{Op: storePutBatchF, Part: part, Epoch: epoch, Entries: entries})
+	resp, err := r.call(schema.StoreReq{Op: storePutBatchF, Part: part, Epoch: epoch, Entries: entries})
 	if err != nil {
 		return 0, err
 	}
@@ -214,7 +218,7 @@ func (r *RemoteStore) CreateBatchF(part int, epoch uint64, entries map[string][]
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	resp, err := r.call(storeReq{Op: storeCreateBatchF, Part: part, Epoch: epoch, Entries: entries})
+	resp, err := r.call(schema.StoreReq{Op: storeCreateBatchF, Part: part, Epoch: epoch, Entries: entries})
 	if err != nil {
 		return 0, err
 	}
@@ -223,7 +227,7 @@ func (r *RemoteStore) CreateBatchF(part int, epoch uint64, entries map[string][]
 
 // CASF implements cloudstore.ReplicaAPI: CAS under the partition fence.
 func (r *RemoteStore) CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeCASF, Part: part, Epoch: epoch, Key: key, Expect: expect, Value: value})
+	resp, err := r.call(schema.StoreReq{Op: storeCASF, Part: part, Epoch: epoch, Key: key, Expect: expect, Value: value})
 	if err != nil {
 		return 0, err
 	}
@@ -233,7 +237,7 @@ func (r *RemoteStore) CASF(part int, epoch uint64, key string, expect uint64, va
 // DeleteF implements cloudstore.ReplicaAPI: fenced delete returning the
 // tombstone version.
 func (r *RemoteStore) DeleteF(part int, epoch uint64, key string) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeDeleteF, Part: part, Epoch: epoch, Key: key})
+	resp, err := r.call(schema.StoreReq{Op: storeDeleteF, Part: part, Epoch: epoch, Key: key})
 	if err != nil {
 		return 0, err
 	}
@@ -246,7 +250,7 @@ func (r *RemoteStore) DeleteBatchF(part int, epoch uint64, keys []string) (uint6
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	resp, err := r.call(storeReq{Op: storeDelBatchF, Part: part, Epoch: epoch, Keys: keys})
+	resp, err := r.call(schema.StoreReq{Op: storeDelBatchF, Part: part, Epoch: epoch, Keys: keys})
 	if err != nil {
 		return 0, err
 	}
@@ -256,14 +260,14 @@ func (r *RemoteStore) DeleteBatchF(part int, epoch uint64, keys []string) (uint6
 // Apply implements cloudstore.ReplicaAPI: forward a fenced commit to a
 // follower replica.
 func (r *RemoteStore) Apply(part int, epoch uint64, c cloudstore.Commit) error {
-	_, err := r.call(storeReq{Op: storeApply, Part: part, Epoch: epoch, Commit: c})
+	_, err := r.call(schema.StoreReq{Op: storeApply, Part: part, Epoch: epoch, Commit: c})
 	return err
 }
 
 // Promote implements cloudstore.ReplicaAPI: claim the partition's primary
 // role at epoch on the remote replica.
 func (r *RemoteStore) Promote(part int, epoch uint64) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePromote, Part: part, Epoch: epoch})
+	resp, err := r.call(schema.StoreReq{Op: storePromote, Part: part, Epoch: epoch})
 	if err != nil {
 		// The accepted fence rides Version even on refusal, so a fenced
 		// caller can adopt the newer epoch without a second round trip.
@@ -274,7 +278,7 @@ func (r *RemoteStore) Promote(part int, epoch uint64) (uint64, error) {
 
 // FenceEpoch implements cloudstore.ReplicaAPI.
 func (r *RemoteStore) FenceEpoch(part int) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeEpoch, Part: part})
+	resp, err := r.call(schema.StoreReq{Op: storeEpoch, Part: part})
 	if err != nil {
 		return 0, err
 	}
@@ -282,11 +286,11 @@ func (r *RemoteStore) FenceEpoch(part int) (uint64, error) {
 }
 
 // execStoreOp executes one store wire request against a replica surface. It
-// is the single translation point between storeReq frames and
+// is the single translation point between store frames and
 // cloudstore.ReplicaAPI, shared by store-serving nodes and dedicated store
 // servers so both speak exactly the same protocol.
-func execStoreOp(st cloudstore.ReplicaAPI, owner transport.NodeID, req storeReq) storeResp {
-	var resp storeResp
+func execStoreOp(st cloudstore.ReplicaAPI, owner transport.NodeID, req *schema.StoreReq) schema.StoreResp {
+	var resp schema.StoreResp
 	var err error
 	switch req.Op {
 	case storeGet:
@@ -332,4 +336,16 @@ func execStoreOp(st cloudstore.ReplicaAPI, owner transport.NodeID, req storeReq)
 	}
 	resp.Err, resp.ErrKind = errFields(err)
 	return resp
+}
+
+// serveStoreFrame decodes one store request frame, runs it through exec and
+// encodes the response frame.
+func serveStoreFrame(payload []byte, exec func(*schema.StoreReq) schema.StoreResp) (transport.Message, error) {
+	var req schema.StoreReq
+	if err := req.UnmarshalWire(payload); err != nil {
+		return transport.Message{}, err
+	}
+	resp := exec(&req)
+	out, err := resp.MarshalWire(nil)
+	return transport.Message{Kind: KindStore, Payload: out}, err
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -157,6 +158,236 @@ func TestStoreWireSentinelRoundTrip(t *testing.T) {
 				t.Fatalf("err = %v; want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestStoreFrameEverySelector replays one script that uses every store
+// selector — with nil and empty values, nil, empty and nil-valued entry
+// maps, and every sentinel failure — against a local cloudstore.Store and,
+// through RemoteStore → StoreServer on the in-memory mesh, against an
+// identical one. Every step must return deeply equal results (so a nil
+// byte value stays nil and an empty one stays empty across the wire) and
+// the same typed error, which must satisfy errors.Is on the remote side.
+func TestStoreFrameEverySelector(t *testing.T) {
+	type res []any
+	entries := map[string][]byte{"b": []byte("2"), "c": nil, "d": {}}
+	steps := []struct {
+		name string
+		op   func(api cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error)
+		want error // sentinel the step must fail with, or nil for success
+	}{
+		{"get/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, ver, err := a.Get("a")
+			return res{v, ver}, err
+		}, cloudstore.ErrNotFound},
+		{"put", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Put("a", []byte("1"))
+			return res{v}, err
+		}, nil},
+		{"put/nil", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Put("nil", nil)
+			return res{v}, err
+		}, nil},
+		{"put/empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Put("empty", []byte{})
+			return res{v}, err
+		}, nil},
+		{"get", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			var out res
+			for _, k := range []string{"a", "nil", "empty"} {
+				v, ver, err := a.Get(k)
+				if err != nil {
+					return out, err
+				}
+				out = append(out, v, ver)
+			}
+			return out, nil
+		}, nil},
+		{"putbatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutBatch(entries)
+			return res{v}, err
+		}, nil},
+		{"putbatch/nil-and-empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v1, err := a.PutBatch(nil)
+			if err != nil {
+				return nil, err
+			}
+			v2, err := a.PutBatch(map[string][]byte{})
+			return res{v1, v2}, err
+		}, nil},
+		{"createbatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CreateBatch(map[string][]byte{"e": []byte("x"), "e/nil": nil})
+			return res{v}, err
+		}, nil},
+		{"createbatch/exists", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CreateBatch(map[string][]byte{"a": []byte("y")})
+			return res{v}, err
+		}, cloudstore.ErrVersionMismatch},
+		{"cas/conflict", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CAS("a", 999, []byte("z"))
+			return res{v}, err
+		}, cloudstore.ErrVersionMismatch},
+		{"cas", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			_, ver, err := a.Get("a")
+			if err != nil {
+				return nil, err
+			}
+			v, err := a.CAS("a", ver, []byte{})
+			return res{v}, err
+		}, nil},
+		{"delete", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			return nil, a.Delete("b")
+		}, nil},
+		{"delete/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			return nil, a.Delete("zz")
+		}, cloudstore.ErrNotFound},
+		{"deletebatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			if err := a.DeleteBatch(nil); err != nil {
+				return nil, err
+			}
+			return nil, a.DeleteBatch([]string{"c", "zz"})
+		}, nil},
+		{"list", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			all, err := a.List("")
+			if err != nil {
+				return nil, err
+			}
+			none, err := a.List("no-such-prefix")
+			return res{all, none}, err
+		}, nil},
+		{"promote", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Promote(0, 1)
+			return res{v}, err
+		}, nil},
+		{"epoch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.FenceEpoch(0)
+			return res{v}, err
+		}, nil},
+		{"getf/listf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, ver, err := a.GetF(0, 1, "empty")
+			if err != nil {
+				return nil, err
+			}
+			keys, err := a.ListF(0, 1, "e")
+			return res{v, ver, keys}, err
+		}, nil},
+		{"putf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v1, err := a.PutF(0, 1, "f/nil", nil)
+			if err != nil {
+				return nil, err
+			}
+			v2, err := a.PutF(0, 1, "f/empty", []byte{})
+			return res{v1, v2}, err
+		}, nil},
+		{"putbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutBatchF(0, 1, entries)
+			return res{v}, err
+		}, nil},
+		{"createbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CreateBatchF(0, 1, map[string][]byte{"g": nil})
+			return res{v}, err
+		}, nil},
+		{"casf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			_, ver, err := a.GetF(0, 1, "g")
+			if err != nil {
+				return nil, err
+			}
+			v, err := a.CASF(0, 1, "g", ver, []byte("g2"))
+			return res{v}, err
+		}, nil},
+		{"casf/conflict", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CASF(0, 1, "g", 1, nil)
+			return res{v}, err
+		}, cloudstore.ErrVersionMismatch},
+		{"deletef", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.DeleteF(0, 1, "g")
+			return res{v}, err
+		}, nil},
+		{"deletef/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.DeleteF(0, 1, "g")
+			return res{v}, err
+		}, cloudstore.ErrNotFound},
+		{"deletebatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.DeleteBatchF(0, 1, []string{"d", "f/nil", "zz"})
+			return res{v}, err
+		}, nil},
+		{"apply", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			err := a.Apply(0, 1, cloudstore.Commit{
+				Sets: []cloudstore.KV{{Key: "h", Val: []byte("v"), Ver: 1000}, {Key: "i", Ver: 1001}, {Key: "j", Val: []byte{}, Ver: 1002}},
+				Dels: []cloudstore.KD{{Key: "e", Ver: 1003}},
+			})
+			if err != nil {
+				return nil, err
+			}
+			if err := a.Apply(0, 1, cloudstore.Commit{}); err != nil {
+				return nil, err
+			}
+			var out res
+			for _, k := range []string{"h", "i", "j"} {
+				v, ver, err := a.GetF(0, 1, k)
+				if err != nil {
+					return out, err
+				}
+				out = append(out, v, ver)
+			}
+			keys, err := a.ListF(0, 1, "")
+			return append(out, keys), err
+		}, nil},
+		{"promote/advance", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Promote(0, 5)
+			return res{v}, err
+		}, nil},
+		{"getf/fenced", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, ver, err := a.GetF(0, 2, "h")
+			return res{v, ver}, err
+		}, cloudstore.ErrFenced},
+		{"apply/fenced", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			return nil, a.Apply(0, 2, cloudstore.Commit{Sets: []cloudstore.KV{{Key: "k", Ver: 2000}}})
+		}, cloudstore.ErrFenced},
+		// A refused Promote still reports the accepted fence.
+		{"promote/refused", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.Promote(0, 3)
+			if v != 5 {
+				return res{v}, fmt.Errorf("refused promote reported fence %d; want 5", v)
+			}
+			return res{v}, err
+		}, cloudstore.ErrFenced},
+		{"get/unavailable", func(a cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error) {
+			st.Fail()
+			defer st.Recover()
+			v, ver, err := a.Get("a")
+			return res{v, ver}, err
+		}, cloudstore.ErrUnavailable},
+		{"putf/unavailable", func(a cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error) {
+			st.Fail()
+			defer st.Recover()
+			v, err := a.PutF(0, 5, "a", nil)
+			return res{v}, err
+		}, cloudstore.ErrUnavailable},
+	}
+	sentinels := []error{cloudstore.ErrNotFound, cloudstore.ErrVersionMismatch, cloudstore.ErrUnavailable, cloudstore.ErrFenced}
+	local := cloudstore.New()
+	served, remote := storeWireRig(t)
+	for _, step := range steps {
+		want, werr := step.op(local, local)
+		got, gerr := step.op(remote, served)
+		if step.want == nil && werr != nil {
+			t.Fatalf("%s: local store failed: %v", step.name, werr)
+		}
+		if step.want != nil && !errors.Is(gerr, step.want) {
+			t.Fatalf("%s: remote err = %v; want %v", step.name, gerr, step.want)
+		}
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("%s: local err %v, remote err %v", step.name, werr, gerr)
+		}
+		for _, s := range sentinels {
+			if errors.Is(werr, s) != errors.Is(gerr, s) {
+				t.Fatalf("%s: local err %v, remote err %v disagree on %v", step.name, werr, gerr, s)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: remote %#v; local %#v", step.name, got, want)
+		}
 	}
 }
 

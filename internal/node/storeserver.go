@@ -9,6 +9,7 @@ import (
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/ops"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -108,12 +109,9 @@ func (s *StoreServer) handle(_ context.Context, _ transport.NodeID, req transpor
 		return transport.Message{Kind: KindPing, Payload: payload}, err
 	case KindStore:
 		s.storeOps.Add(1)
-		var sr storeReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
-			return transport.Message{}, err
-		}
-		payload, err := encodeFrame(execStoreOp(s.be, s.id, sr))
-		return transport.Message{Kind: KindStore, Payload: payload}, err
+		return serveStoreFrame(req.Payload, func(sr *schema.StoreReq) schema.StoreResp {
+			return execStoreOp(s.be, s.id, sr)
+		})
 	case KindShutdown:
 		s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 		return transport.Message{Kind: KindShutdown}, nil

@@ -1,17 +1,20 @@
 package node
 
-// The node wire protocol: gob frames carried in transport.Message payloads
-// over Mesh.Call. Every exchange is strictly request/response. Handler-level
-// failures travel in-band as an error kind plus message, so typed errors
-// (unknown context, hop-budget exhaustion, backpressure, store version
-// mismatch) survive the wire instead of flattening into strings.
+// The node wire protocol: frames carried in transport.Message payloads over
+// Mesh.Call and mux streams. Every exchange is strictly request/response.
+// Submit, batch, notify, transfer, store, migrate and transfer-query frames
+// ride the hand-rolled hot codec (schema/hotframe.go, schema/storeframe.go);
+// only pings and the legacy gob submit, transfer and replicate fallbacks
+// still use gob (encodeFrame/decodeFrame). Handler-level failures travel
+// in-band as an error kind plus message, so typed errors (unknown context,
+// hop-budget exhaustion, backpressure, store version mismatch) survive the
+// wire instead of flattening into strings.
 
 import (
 	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync"
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
@@ -117,7 +120,7 @@ type submitResp struct {
 	ErrKind string
 }
 
-// Store operation selectors.
+// Store operation selectors (schema.StoreReq.Op).
 const (
 	storeGet         = "get"
 	storePut         = "put"
@@ -144,29 +147,6 @@ const (
 	storeEpoch        = "epoch"
 )
 
-// storeReq is one cloud-store operation. Part/Epoch ride the replica-plane
-// ops (the fenced surface, apply, promote, epoch); Commit rides apply only.
-type storeReq struct {
-	Op      string
-	Key     string
-	Keys    []string
-	Value   []byte
-	Entries map[string][]byte
-	Expect  uint64
-	Part    int
-	Epoch   uint64
-	Commit  cloudstore.Commit
-}
-
-// storeResp is the result of a store operation.
-type storeResp struct {
-	Value   []byte
-	Version uint64
-	Keys    []string
-	Err     string
-	ErrKind string
-}
-
 // transferReq ships a stopped migration group's serialized state to the
 // destination node. States maps member ID to its schema.EncodeWire payload;
 // members without an entry (nil state, adopted stragglers carrying factory
@@ -181,38 +161,6 @@ type transferReq struct {
 	TotalBytes int
 	States     map[uint64][]byte
 	MinSeq     uint64
-}
-
-// transferResp acknowledges a state transfer.
-type transferResp struct {
-	Err     string
-	ErrKind string
-}
-
-// transferQueryReq probes whether the destination committed a transfer:
-// Probe is the group's root (first member), To the destination server.
-type transferQueryReq struct {
-	Probe ownership.ID
-	To    cluster.ServerID
-}
-
-// transferQueryResp answers a commit probe.
-type transferQueryResp struct {
-	Committed bool
-	Err       string
-	ErrKind   string
-}
-
-// migrateReq asks the receiving node to migrate a group it hosts.
-type migrateReq struct {
-	Root ownership.ID
-	To   cluster.ServerID
-}
-
-// migrateResp acknowledges a commanded migration.
-type migrateResp struct {
-	Err     string
-	ErrKind string
 }
 
 // replicateReq hints that the replication log reached Seq (the transport
@@ -234,10 +182,7 @@ func init() {
 	// cross-process payload.
 	schema.RegisterWireTypes(
 		submitReq{}, submitResp{},
-		storeReq{}, storeResp{},
-		transferReq{}, transferResp{},
-		transferQueryReq{}, transferQueryResp{},
-		migrateReq{}, migrateResp{},
+		transferReq{},
 		replicateReq{}, replicateResp{},
 		pingResp{},
 	)
@@ -252,39 +197,29 @@ func encodeFrame(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// gobBufPool recycles encode buffers on the gob control path: mesh endpoints
-// do not retain request payloads after Call returns, so a caller can encode
-// into a pooled buffer, send, and return the buffer — one steady-state
-// allocation fewer per control frame.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encodeFramePooled gob-encodes v into a pooled buffer. The returned bytes
-// alias the buffer: release it with releaseFrameBuf only after the payload is
-// no longer referenced (for mesh calls, after Call returns).
-func encodeFramePooled(v any) (*bytes.Buffer, []byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		gobBufPool.Put(buf)
-		return nil, nil, fmt.Errorf("node: encode frame %T: %w", v, err)
-	}
-	return buf, buf.Bytes(), nil
-}
-
-// releaseFrameBuf recycles a buffer from encodeFramePooled.
-func releaseFrameBuf(buf *bytes.Buffer) {
-	if buf == nil || buf.Cap() > 1<<20 {
-		return // don't let one huge transfer pin a huge buffer in the pool
-	}
-	gobBufPool.Put(buf)
-}
-
 // decodeFrame decodes a wire frame into out (a pointer).
 func decodeFrame(b []byte, out any) error {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
 		return fmt.Errorf("node: decode frame %T: %w", out, err)
 	}
 	return nil
+}
+
+// ackFrame answers a migrate or transfer frame with its outcome.
+func ackFrame(kind string, err error) (transport.Message, error) {
+	var ack schema.AckResp
+	ack.Err, ack.ErrKind = errFields(err)
+	payload, merr := ack.MarshalWire(nil)
+	return transport.Message{Kind: kind, Payload: payload}, merr
+}
+
+// ackError decodes an ackFrame payload back into its typed outcome.
+func ackError(payload []byte) error {
+	var ack schema.AckResp
+	if err := ack.UnmarshalWire(payload); err != nil {
+		return err
+	}
+	return WireError(ack.ErrKind, ack.Err)
 }
 
 // errKindOf classifies an error for the wire.

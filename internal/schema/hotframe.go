@@ -2,14 +2,16 @@ package schema
 
 // Hand-rolled binary codec for the hot wire frames: submit requests and
 // responses (every remote event pays one of each), replication-notify hints
-// (every durable append fans one out per peer), and migration transfer
-// records. Gob is reflection-driven and re-sends type metadata per frame on
-// the request/response path, which BENCH_4/5 show dominating the remote
-// submit cost; these frames instead get a fixed little-endian layout with
-// varint integers, a tagged value encoding for `any` fields, and buffer
-// reuse via sync.Pool, so the steady-state ingress path encodes and decodes
-// without allocating. Rare control frames (store ops, migrate commands,
-// pings) stay on the registered-gob codec — see RegisterWireType.
+// (every durable append fans one out per peer), migration transfer records,
+// and the store and migration control frames (storeframe.go: a group move
+// makes ~19 store round trips). Gob is reflection-driven and re-sends type
+// metadata per frame on the request/response path, which BENCH_4/5 show
+// dominating the remote submit cost; these frames instead get a fixed
+// little-endian layout with varint integers, a tagged value encoding for
+// `any` fields, and buffer reuse via sync.Pool, so the steady-state ingress
+// path encodes and decodes without allocating. Only pings and the legacy
+// gob submit/transfer/replicate frames stay on the registered-gob codec —
+// see RegisterWireType.
 //
 // Frame layout: every hot frame starts with [HotMagic, type byte]. HotMagic
 // (0xA7) can never begin a valid gob stream (gob's leading byte is either a
@@ -46,6 +48,13 @@ const (
 	hotTypeTransfer        byte = 4
 	hotTypeSubmitBatchReq  byte = 5
 	hotTypeSubmitBatchResp byte = 6
+	// Store and migration control frames (storeframe.go).
+	hotTypeStoreReq          byte = 7
+	hotTypeStoreResp         byte = 8
+	hotTypeMigrateReq        byte = 9
+	hotTypeAckResp           byte = 10
+	hotTypeTransferQueryReq  byte = 11
+	hotTypeTransferQueryResp byte = 12
 )
 
 // Value tags for the `any` encoding.

@@ -3,6 +3,7 @@ package schema
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -334,9 +335,9 @@ func TestSubmitBatchBounds(t *testing.T) {
 	}
 	// Hand-build a frame declaring MaxBatchEvents+1 events.
 	frame := []byte{HotMagic, 5}
-	frame = putUvarint(frame, 0)                  // Hops
-	frame = putUvarint(frame, 0)                  // MinSeq
-	frame = putUvarint(frame, MaxBatchEvents+1)   // count
+	frame = putUvarint(frame, 0)                // Hops
+	frame = putUvarint(frame, 0)                // MinSeq
+	frame = putUvarint(frame, MaxBatchEvents+1) // count
 	var q SubmitBatchReq
 	if err := q.UnmarshalWire(frame); err == nil {
 		t.Fatalf("oversized batch count decoded")
@@ -524,6 +525,11 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 	if b, err := seedBatchResp.MarshalWire(nil); err == nil {
 		f.Add(b)
 	}
+	for _, tc := range storeFrameCases() {
+		if b, err := tc.in.MarshalWire(nil); err == nil {
+			f.Add(b)
+		}
+	}
 	f.Add([]byte{HotMagic})
 	f.Add([]byte{HotMagic, 1})
 	f.Add([]byte{HotMagic, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -606,6 +612,28 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 			}
 			if len(bp2.Outcomes) != len(bp.Outcomes) {
 				t.Fatalf("submitBatchResp round trip not a fixed point")
+			}
+		}
+		// Store and migration control frames: every decodable input must
+		// re-encode to a frame that decodes to the same value.
+		for _, tc := range storeFrameCases() {
+			v := tc.newOut()
+			if err := v.UnmarshalWire(data); err != nil {
+				if !errors.Is(err, ErrHotFrame) {
+					t.Fatalf("%T decode error does not wrap ErrHotFrame: %v", v, err)
+				}
+				continue
+			}
+			b2, err := v.MarshalWire(nil)
+			if err != nil {
+				t.Fatalf("re-encode of decoded %T failed: %v", v, err)
+			}
+			v2 := tc.newOut()
+			if err := v2.UnmarshalWire(b2); err != nil {
+				t.Fatalf("re-decode of re-encoded %T failed: %v", v, err)
+			}
+			if !reflect.DeepEqual(v2, v) {
+				t.Fatalf("%T round trip not a fixed point: %+v vs %+v", v, v2, v)
 			}
 		}
 	})
