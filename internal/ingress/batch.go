@@ -150,20 +150,15 @@ func (c *Client) submitBatchTo(to transport.NodeID, events []schema.BatchEvent) 
 	var (
 		resps []transport.Message
 		errs  []error
-		fatal error
 	)
-	st := c.stream(to)
-	if st != nil {
+	st, fatal := c.stream(to)
+	if fatal == nil {
 		resps, errs, fatal = transport.StreamCallBatch(ctx, st, msgs)
-	} else {
-		resps = make([]transport.Message, len(msgs))
-		errs = make([]error, len(msgs))
-		for k := range msgs {
-			resps[k], errs[k] = c.ep.Call(ctx, to, msgs[k])
+		if fatal != nil {
+			c.dropStream(to, st)
 		}
 	}
 	if fatal != nil {
-		c.dropStream(to, st)
 		for _, ref := range refs {
 			schema.PutFrameBuf(ref.buf)
 			for i := ref.start; i < ref.start+ref.n; i++ {
@@ -177,7 +172,7 @@ func (c *Client) submitBatchTo(to transport.NodeID, events []schema.BatchEvent) 
 		schema.PutFrameBuf(ref.buf) // endpoints do not retain payloads past the call
 		if errs[k] != nil {
 			var remote *transport.RemoteError
-			if st != nil && !errors.As(errs[k], &remote) {
+			if !errors.As(errs[k], &remote) {
 				c.dropStream(to, st)
 			}
 			for i := ref.start; i < ref.start+ref.n; i++ {
@@ -209,17 +204,7 @@ func (c *Client) submitChunk(to transport.NodeID, events []schema.BatchEvent, re
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: node.KindSubmitBatch, Payload: payload}
-	var raw transport.Message
-	if st := c.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			c.dropStream(to, st)
-		}
-	} else {
-		raw, err = c.ep.Call(ctx, to, msg)
-	}
+	raw, err := c.call(ctx, to, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
 	if err != nil {
 		fail(fmt.Errorf("ingress: batch submit to %v: %w", to, err))
@@ -235,10 +220,6 @@ func (c *Client) applyBatchResp(to transport.NodeID, events []schema.BatchEvent,
 		for i := start; i < start+n; i++ {
 			res[i].Err = err
 		}
-	}
-	if !schema.IsHotFrame(raw.Payload) {
-		fail(fmt.Errorf("ingress: node %v answered batch submit with a non-hot frame", to))
-		return
 	}
 	var br schema.SubmitBatchResp
 	if err := br.UnmarshalWire(raw.Payload); err != nil {

@@ -1,9 +1,11 @@
 // Package ingress is the client SDK for submitting events to an AEON
 // deployment from outside the fleet: a Client attaches to the transport mesh
-// as a non-serving endpoint, speaks the node wire protocol's hot submit
-// frames, and pipelines many in-flight submits over one multiplexed
-// connection per node (transport.Stream) instead of paying a strict
-// request/response round trip per event.
+// as a non-serving endpoint, speaks the node wire protocol's hot-codec
+// submit frames (node.submit for one event, node.submit.batch for many),
+// and pipelines every in-flight submit over one multiplexed connection per
+// node (transport.Stream) instead of paying a strict request/response round
+// trip per event. There is no one-shot path: every mesh endpoint opens
+// streams.
 //
 // Routing. Events execute on the node embodying the server that hosts their
 // dominator. The client does not know placements a priori: it routes each
@@ -62,22 +64,14 @@ type Config struct {
 	CallTimeout time.Duration
 	// Window bounds in-flight futures from Go. Zero means 256.
 	Window int
-	// NoPipeline disables multiplexed streams: every submit is a one-shot
-	// mesh call (one outstanding request per connection). The bench uses it
-	// as the baseline; real clients leave it off.
-	NoPipeline bool
 	// Linger is how long Go holds an async submit so batchmates bound for
 	// the same node can coalesce into one frame before it flushes. Zero
-	// means 100µs. Ignored when NoCoalesce or NoPipeline is set.
+	// means 100µs.
 	Linger time.Duration
 	// MaxBatch caps events per batch frame: SubmitBatch chunks larger
 	// inputs and the coalescer flushes early when a batch fills. Zero means
 	// 128; values above schema.MaxBatchEvents are clamped.
 	MaxBatch int
-	// NoCoalesce makes Go submit each event as its own frame (no linger,
-	// no batching) instead of riding the per-node coalescer. SubmitBatch
-	// still batches.
-	NoCoalesce bool
 	// Trace stamps submit and batch frames with a fresh 8-byte trace ID
 	// (client ID in the high bits, a per-client sequence in the low).
 	// Nodes propagate the ID across forwarding hops and surface per-hop
@@ -256,12 +250,17 @@ func (c *Client) route(target ownership.ID) transport.NodeID {
 
 // learn repairs the routing cache from a response's authoritative host.
 // Fleet deployments map servers to nodes 1:1, so the wire's ServerID is the
-// node address.
+// node address. Almost every response confirms the cached route, so the
+// store is skipped unless the route actually changed.
 func (c *Client) learn(target ownership.ID, host int64) {
 	if host == 0 {
 		return
 	}
-	c.routes.Store(target, transport.NodeID(host))
+	to := transport.NodeID(host)
+	if cur, ok := c.routes.Load(target); ok && cur.(transport.NodeID) == to {
+		return
+	}
+	c.routes.Store(target, to)
 }
 
 // Route reports the cached placement of a target (for tests and the bench).
@@ -274,35 +273,32 @@ func (c *Client) Route(target ownership.ID) (transport.NodeID, bool) {
 }
 
 // stream returns the cached pipelined stream to a node, opening one on first
-// use; nil means pipelining is off or unsupported and the caller one-shots.
-func (c *Client) stream(to transport.NodeID) transport.Stream {
-	if c.cfg.NoPipeline {
-		return nil
-	}
+// use.
+func (c *Client) stream(to transport.NodeID) (transport.Stream, error) {
 	c.streamMu.Lock()
 	st, ok := c.streams[to]
 	c.streamMu.Unlock()
 	if ok {
-		return st
+		return st, nil
 	}
-	st, supported, err := transport.OpenStream(c.ep, to)
-	if !supported || err != nil {
-		return nil
+	st, err := c.ep.Stream(to)
+	if err != nil {
+		return nil, err
 	}
 	c.streamMu.Lock()
 	if c.closed.Load() {
 		c.streamMu.Unlock()
 		_ = st.Close()
-		return nil
+		return nil, ErrClientClosed
 	}
 	if cur, ok := c.streams[to]; ok {
 		c.streamMu.Unlock()
 		_ = st.Close()
-		return cur
+		return cur, nil
 	}
 	c.streams[to] = st
 	c.streamMu.Unlock()
-	return st
+	return st, nil
 }
 
 // dropStream discards a broken stream so the next submit redials.
@@ -313,6 +309,21 @@ func (c *Client) dropStream(to transport.NodeID, st transport.Stream) {
 	}
 	c.streamMu.Unlock()
 	_ = st.Close()
+}
+
+// call sends one frame to a node over its cached pipelined stream,
+// dropping the stream on a transport failure (not a handler error).
+func (c *Client) call(ctx context.Context, to transport.NodeID, msg transport.Message) (transport.Message, error) {
+	st, err := c.stream(to)
+	if err != nil {
+		return transport.Message{}, err
+	}
+	raw, err := st.Call(ctx, msg)
+	var remote *transport.RemoteError
+	if err != nil && !errors.As(err, &remote) {
+		c.dropStream(to, st)
+	}
+	return raw, err
 }
 
 // Submit executes one event on the deployment and returns its result.
@@ -334,26 +345,13 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	to := c.route(target)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: node.KindSubmit, Payload: payload}
-	var raw transport.Message
-	if st := c.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			c.dropStream(to, st)
-		}
-	} else {
-		raw, err = c.ep.Call(ctx, to, msg)
-	}
+	raw, err := c.call(ctx, to, transport.Message{Kind: node.KindSubmit, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
 	if err != nil {
 		return nil, fmt.Errorf("ingress: submit %v to %v: %w", target, to, err)
 	}
 
 	var resp schema.SubmitResp
-	if !schema.IsHotFrame(raw.Payload) {
-		return nil, fmt.Errorf("ingress: node %v answered submit with a non-hot frame", to)
-	}
 	if err := resp.UnmarshalWire(raw.Payload); err != nil {
 		return nil, fmt.Errorf("ingress: decode submit response: %w", err)
 	}
@@ -382,10 +380,9 @@ func (f *Future) Wait() (any, error) {
 // Go submits asynchronously: it returns once the request occupies an
 // in-flight slot (blocking when Config.Window submits are already pending —
 // backpressure for producers that batch Waits). The returned Future resolves
-// when the response arrives. Unless NoCoalesce or NoPipeline is set, the
-// event rides the per-node coalescer: it lingers up to Config.Linger waiting
-// for batchmates bound for the same node, then the whole batch flies as one
-// frame.
+// when the response arrives. The event rides the per-node coalescer: it
+// lingers up to Config.Linger waiting for batchmates bound for the same
+// node, then the whole batch flies as one frame.
 func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 	f := &Future{done: make(chan struct{})}
 	if c.closed.Load() {
@@ -394,14 +391,6 @@ func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 		return f
 	}
 	c.window <- struct{}{}
-	if c.cfg.NoCoalesce || c.cfg.NoPipeline {
-		go func() {
-			defer close(f.done)
-			defer func() { <-c.window }()
-			f.result, f.err = c.Submit(target, method, args...)
-		}()
-		return f
-	}
 	co := c.coalescerFor(c.route(target))
 	if co == nil { // closed between the check above and here
 		f.err = ErrClientClosed

@@ -77,7 +77,8 @@ func TestTraceSpansAcrossForward(t *testing.T) {
 // TestTraceSpansAcrossBatchForward pins trace propagation through batch
 // sub-frames: a traced batch hitting the wrong node is regrouped and
 // forwarded as a sub-batch carrying the same trace, so the entry node
-// records batch-forward and the owner records batch-execute under one ID.
+// records forward and the owner records execute under one ID — the same
+// actions a single-event submit frame leaves.
 func TestTraceSpansAcrossBatchForward(t *testing.T) {
 	d, cli := deployTraced(t)
 
@@ -95,7 +96,7 @@ func TestTraceSpansAcrossBatchForward(t *testing.T) {
 	entry, owner := spansOf(t, d.Nodes[1]), spansOf(t, d.Nodes[0])
 	matched := false
 	for tr, hops := range entry {
-		if hops[0] == "batch-forward" && owner[tr][1] == "batch-execute" {
+		if hops[0] == "forward" && owner[tr][1] == "execute" {
 			matched = true
 		}
 	}

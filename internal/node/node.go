@@ -14,9 +14,11 @@
 // and the cached mapping on every host (§ 5.1).
 //
 // Wire protocol (see wire.go): client submit and cross-node event
-// forwarding (placement resolved against the local directory snapshot;
-// misses forward along the directory's answer, stale callers pay the
-// forwarding hop of § 5.2 and repair their cache from the response), remote
+// forwarding through one executor, handleSubmitBatch, for single-event and
+// batch frames alike (placement resolved against the local directory
+// snapshot; misses forward along the directory's answer as batch frames over
+// pipelined mux streams, stale callers pay the forwarding hop of § 5.2 and
+// repair their cache from the response), remote
 // cloud-store access (one node serves Get/Put/PutBatch/CAS/List to the
 // others, so every process journals into one authoritative store), and
 // migration state transfer (the engine's step IV ships serialized member
@@ -155,23 +157,23 @@ type Node struct {
 	store cloudstore.API
 	plane *replication.Plane
 
-	// streams caches one pipelined mux stream per peer for the hot submit
-	// path; entries are dropped (and the stream closed) on transport failure
-	// so the next call redials. Nil entries never appear: meshes without
-	// stream support simply leave the map empty and calls fall back to the
-	// one-shot path.
+	// streams caches one pipelined mux stream per peer for submit forwards
+	// and replicate hints; entries are dropped (and the stream closed) on
+	// transport failure so the next call redials.
 	streamMu sync.Mutex
 	streams  map[transport.NodeID]transport.Stream
 
-	// forwarded counts submits this node forwarded to another node;
-	// executed counts peer submits it executed locally; batches counts
-	// batch frames it handled (however many events each carried);
-	// batchEvents counts the events those frames carried.
+	// forwarded counts events this node forwarded to another node;
+	// executed counts peer-submitted events it executed locally; batches
+	// counts node.submit.batch frames it handled (however many events each
+	// carried); batchEvents counts the events those frames carried.
 	forwarded, executed, batches, batchEvents, transfersIn, transfersOut atomic.Uint64
 
 	// ops is the process observability registry (Config.Ops; nil = off).
-	// submitLat/forwardLat/batchLat are striped per-frame handler latency
-	// histograms, recorded lock-free on the hot path and merged on scrape.
+	// submitLat (node.submit frames executed here), forwardLat (forwarded
+	// sub-frames, round trip) and batchLat (node.submit.batch frames) are
+	// striped per-frame latency histograms, recorded lock-free on the hot
+	// path and merged on scrape.
 	ops        *ops.Registry
 	submitLat  metrics.StripedHistogram
 	forwardLat metrics.StripedHistogram
@@ -327,14 +329,14 @@ func (n *Node) Store() cloudstore.API { return n.store }
 // Plane returns the node's replication plane (nil unless Config.Replicate).
 func (n *Node) Plane() *replication.Plane { return n.plane }
 
-// Forwarded returns how many submits this node forwarded to peers.
+// Forwarded returns how many submitted events this node forwarded to peers.
 func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
 
 // Executed returns how many peer-submitted events this node executed.
 func (n *Node) Executed() uint64 { return n.executed.Load() }
 
-// Batches returns how many batch submit frames this node handled (tests and
-// the bench use it to verify coalescing actually reduced frame count).
+// Batches returns how many node.submit.batch frames this node handled (tests
+// and the bench use it to verify coalescing actually reduced frame count).
 func (n *Node) Batches() uint64 { return n.batches.Load() }
 
 // Done is closed when a peer requests shutdown (KindShutdown).
@@ -383,11 +385,7 @@ func (n *Node) Submit(target ownership.ID, method string, args ...any) (any, err
 func (n *Node) Ping(peer transport.NodeID) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	payload, err := encodeFrame(pingResp{Node: n.id})
-	if err != nil {
-		return err
-	}
-	_, err = n.ep.Call(ctx, peer, transport.Message{Kind: KindPing, Payload: payload})
+	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindPing})
 	return err
 }
 
@@ -423,8 +421,6 @@ func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to clust
 // pull immediately instead of waiting out a poll interval. Fire-and-forget
 // per peer — a lost hint only costs poll latency, never correctness.
 func (n *Node) notifyReplicated(seq uint64) {
-	// A notify hint fans out on every durable append: it rides the hot codec
-	// (a 12-byte frame instead of a gob stream with type metadata).
 	rec := schema.NotifyRec{Seq: seq}
 	payload, err := rec.MarshalWire(nil)
 	if err != nil {
@@ -450,20 +446,10 @@ func (n *Node) notifyReplicated(seq uint64) {
 		go func(peer transport.NodeID) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			msg := transport.Message{Kind: KindReplicate, Payload: payload}
-			// Ride the cached pipelined stream when there is one — hints
-			// interleave with submits on the same connection. Best-effort
-			// either way: a lost hint costs poll latency, never correctness.
-			if st := n.stream(peer); st != nil {
-				if _, err := st.Call(ctx, msg); err != nil {
-					var remote *transport.RemoteError
-					if !errors.As(err, &remote) {
-						n.dropStream(peer, st)
-					}
-				}
-				return
-			}
-			_, _ = n.ep.Call(ctx, peer, msg)
+			// Hints ride the cached pipelined stream, interleaved with
+			// submit forwards. A lost hint costs poll latency, never
+			// correctness.
+			_, _ = n.call(ctx, peer, transport.Message{Kind: KindReplicate, Payload: payload})
 		}(peer)
 	}
 }
@@ -480,122 +466,72 @@ func (n *Node) replicaSeq() uint64 {
 
 // forward is the runtime's multi-process hook: the event's sequencing point
 // is hosted on a server another node embodies, so ship the whole event
-// there. The response's authoritative host repairs this node's directory
-// cache when the placement moved.
+// there as a one-event batch frame. The response's authoritative host
+// repairs this node's directory cache when the placement moved.
 func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []any) (any, error) {
 	n.forwarded.Add(1)
-	resp, err := n.callSubmit(n.nodeFor(host), submitReq{
-		Target: target,
-		Method: method,
-		Args:   args,
+	req := schema.SubmitBatchReq{
 		Hops:   1,
 		MinSeq: n.replicaSeq(),
-	})
+		Events: []schema.BatchEvent{{Target: target, Method: method, Args: args}},
+	}
+	resp, err := n.callSubmitBatch(n.nodeFor(host), &req)
 	if err != nil {
 		return nil, err
 	}
-	n.learnPlacement(target, resp.Host)
-	if resp.Err != "" {
-		return nil, WireError(resp.ErrKind, resp.Err)
+	out := &resp.Outcomes[0]
+	n.learnPlacement(target, cluster.ServerID(out.Host))
+	if out.Err != "" {
+		return nil, WireError(out.ErrKind, out.Err)
 	}
-	return resp.Result, nil
+	return out.Result, nil
 }
 
 // stream returns the cached pipelined stream to a peer, opening one on first
-// use. Nil means the mesh has no stream support (or the dial failed) and the
-// caller should use the one-shot path.
-func (n *Node) stream(to transport.NodeID) transport.Stream {
+// use.
+func (n *Node) stream(to transport.NodeID) (transport.Stream, error) {
 	n.streamMu.Lock()
 	st, ok := n.streams[to]
 	n.streamMu.Unlock()
 	if ok {
-		return st
+		return st, nil
 	}
-	st, supported, err := transport.OpenStream(n.ep, to)
-	if !supported || err != nil {
-		return nil
+	st, err := n.ep.Stream(to)
+	if err != nil {
+		return nil, err
 	}
 	n.streamMu.Lock()
 	if cur, ok := n.streams[to]; ok {
 		// Another caller raced the dial; keep theirs.
 		n.streamMu.Unlock()
 		_ = st.Close()
-		return cur
+		return cur, nil
 	}
 	n.streams[to] = st
 	n.streamMu.Unlock()
-	return st
+	return st, nil
 }
 
-// dropStream discards a cached stream after a transport failure so the next
-// call redials instead of reusing a broken connection.
-func (n *Node) dropStream(to transport.NodeID, st transport.Stream) {
-	n.streamMu.Lock()
-	if cur, ok := n.streams[to]; ok && cur == st {
-		delete(n.streams, to)
-	}
-	n.streamMu.Unlock()
-	_ = st.Close()
-}
-
-// callSubmit sends one submit frame and decodes the response. Submits are
-// the hot path: the frame rides the hand-rolled hot codec in a pooled
-// buffer, and travels over the cached pipelined stream to the peer when the
-// mesh supports one — many submits share one connection with in-flight
-// windowing — falling back to the one-shot call otherwise.
-func (n *Node) callSubmit(to transport.NodeID, req submitReq) (submitResp, error) {
-	hot := schema.SubmitReq{
-		Target: req.Target,
-		Method: req.Method,
-		Args:   req.Args,
-		Hops:   uint32(req.Hops),
-		MinSeq: req.MinSeq,
-		Trace:  req.Trace,
-	}
-	buf := schema.GetFrameBuf()
-	payload, err := hot.MarshalWire((*buf)[:0])
+// call sends one frame to a peer over its cached pipelined stream. A
+// transport failure (not a handler error) means the stream is broken or
+// timed out: it is discarded so the next call redials. There is no retry —
+// the outcome is ambiguous and events are not idempotent.
+func (n *Node) call(ctx context.Context, to transport.NodeID, msg transport.Message) (transport.Message, error) {
+	st, err := n.stream(to)
 	if err != nil {
-		schema.PutFrameBuf(buf)
-		return submitResp{}, err
+		return transport.Message{}, err
 	}
-	*buf = payload
-
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	msg := transport.Message{Kind: KindSubmit, Payload: payload}
-	var raw transport.Message
-	if st := n.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			// Transport failure (not a handler error): the stream is broken
-			// or timed out; discard it so the next submit redials. No retry
-			// here — the outcome is ambiguous and events are not idempotent.
-			n.dropStream(to, st)
+	raw, err := st.Call(ctx, msg)
+	var remote *transport.RemoteError
+	if err != nil && !errors.As(err, &remote) {
+		n.streamMu.Lock()
+		if cur, ok := n.streams[to]; ok && cur == st {
+			delete(n.streams, to)
 		}
-	} else {
-		raw, err = n.ep.Call(ctx, to, msg)
+		n.streamMu.Unlock()
+		_ = st.Close()
 	}
-	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
-	if err != nil {
-		return submitResp{}, fmt.Errorf("submit to %v: %w", to, err)
-	}
-	var resp submitResp
-	if schema.IsHotFrame(raw.Payload) {
-		var hr schema.SubmitResp
-		if err := hr.UnmarshalWire(raw.Payload); err != nil {
-			return submitResp{}, err
-		}
-		resp = submitResp{
-			Result:  hr.Result,
-			Host:    cluster.ServerID(hr.Host),
-			Err:     hr.Err,
-			ErrKind: hr.ErrKind,
-		}
-	} else if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return submitResp{}, err
-	}
-	return resp, nil
+	return raw, err
 }
 
 // learnPlacement repairs the local directory cache from an authoritative
@@ -628,69 +564,49 @@ func (n *Node) learnPlacement(target ownership.ID, host cluster.ServerID) {
 func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.Message) (transport.Message, error) {
 	switch req.Kind {
 	case KindPing:
-		payload, err := encodeFrame(pingResp{Node: n.id})
-		return transport.Message{Kind: KindPing, Payload: payload}, err
+		return transport.Message{Kind: KindPing}, nil
 	case KindSubmit:
-		// Hot path: submits arrive on the hand-rolled codec and answer in
-		// kind; the gob branch remains for mixed-version peers and tests
-		// speaking the old frames.
-		if schema.IsHotFrame(req.Payload) {
-			var hr schema.SubmitReq
-			if err := hr.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			resp := n.handleSubmit(submitReq{
-				Target: hr.Target,
-				Method: hr.Method,
-				Args:   hr.Args,
-				Hops:   int(hr.Hops),
-				MinSeq: hr.MinSeq,
-				Trace:  hr.Trace,
-			})
-			hot := schema.SubmitResp{
-				Result:  resp.Result,
-				Host:    int64(resp.Host),
-				Err:     resp.Err,
-				ErrKind: resp.ErrKind,
-			}
-			payload, err := hot.MarshalWire(nil)
-			return transport.Message{Kind: KindSubmit, Payload: payload}, err
-		}
-		var sr submitReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
+		// A single-event frame runs through the batch executor as a batch
+		// of one and answers with that one outcome.
+		var sr schema.SubmitReq
+		if err := sr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(n.handleSubmit(sr))
+		br := schema.SubmitBatchReq{
+			Hops:   sr.Hops,
+			MinSeq: sr.MinSeq,
+			Trace:  sr.Trace,
+			Events: []schema.BatchEvent{{Target: sr.Target, Method: sr.Method, Args: sr.Args}},
+		}
+		start := time.Now()
+		out, executed := n.handleSubmitBatch(&br, start)
+		if executed > 0 {
+			n.submitLat.Record(time.Since(start))
+		}
+		o := &out.Outcomes[0]
+		resp := schema.SubmitResp{Result: o.Result, Host: o.Host, Err: o.Err, ErrKind: o.ErrKind}
+		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmit, Payload: payload}, err
 	case KindSubmitBatch:
 		var br schema.SubmitBatchReq
 		if err := br.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		resp := n.handleSubmitBatch(&br)
+		n.batches.Add(1)
+		n.batchEvents.Add(uint64(len(br.Events)))
+		start := time.Now()
+		resp, _ := n.handleSubmitBatch(&br, start)
+		n.batchLat.Record(time.Since(start))
 		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	case KindStore:
 		return serveStoreFrame(req.Payload, n.handleStore)
 	case KindTransfer:
-		var tr transferReq
-		if schema.IsHotFrame(req.Payload) {
-			var rec schema.TransferRec
-			if err := rec.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			tr = transferReq{
-				Members:    rec.Members,
-				From:       cluster.ServerID(rec.From),
-				To:         cluster.ServerID(rec.To),
-				TotalBytes: int(rec.TotalBytes),
-				States:     rec.States,
-				MinSeq:     rec.MinSeq,
-			}
-		} else if err := decodeFrame(req.Payload, &tr); err != nil {
+		var rec schema.TransferRec
+		if err := rec.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		return ackFrame(KindTransfer, n.handleTransfer(tr))
+		return ackFrame(KindTransfer, n.handleTransfer(&rec))
 	case KindTransferQuery:
 		var tq schema.TransferQueryReq
 		if err := tq.UnmarshalWire(req.Payload); err != nil {
@@ -707,26 +623,15 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		}
 		return ackFrame(KindMigrate, n.handleMigrate(mr.Root, cluster.ServerID(mr.To)))
 	case KindReplicate:
-		if schema.IsHotFrame(req.Payload) {
-			var nr schema.NotifyRec
-			if err := nr.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			if n.plane != nil {
-				n.plane.Poke(nr.Seq)
-			}
-			// The hint is fire-and-forget; an empty ack suffices.
-			return transport.Message{Kind: KindReplicate}, nil
-		}
-		var rr replicateReq
-		if err := decodeFrame(req.Payload, &rr); err != nil {
+		var nr schema.NotifyRec
+		if err := nr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
 		if n.plane != nil {
-			n.plane.Poke(rr.Seq)
+			n.plane.Poke(nr.Seq)
 		}
-		payload, err := encodeFrame(replicateResp{})
-		return transport.Message{Kind: KindReplicate, Payload: payload}, err
+		// The hint is fire-and-forget; an empty ack suffices.
+		return transport.Message{Kind: KindReplicate}, nil
 	case KindShutdown:
 		n.shutdownOnce.Do(func() { close(n.shutdownCh) })
 		return transport.Message{Kind: KindShutdown}, nil
@@ -735,101 +640,9 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 	}
 }
 
-// handleSubmit executes or forwards one submitted event. Placement is
-// resolved against the local directory snapshot; a miss forwards along the
-// directory's answer with the hop budget decremented, so a stale sender
-// pays exactly the forwarding hop of the paper's staleness window.
-func (n *Node) handleSubmit(req submitReq) submitResp {
-	// Lag-aware admission: the sender's replica had applied MinSeq of the
-	// mutation log when it routed here. Block until ours has too (the
-	// target may only exist past that sequence), then fail typed if the
-	// replica stays behind — never admit against a torn view.
-	if n.plane != nil && req.MinSeq > n.plane.Applied() {
-		if err := n.plane.WaitFor(req.MinSeq, n.cfg.ReplicaLagWait); err != nil {
-			n.emit("backpressure.lag", map[string]any{
-				"node": int64(n.id), "min_seq": req.MinSeq, "applied": n.plane.Applied(), "err": err.Error(),
-			})
-			msg, kind := errFields(fmt.Errorf("submit %v at seq %d: %w", req.Target, req.MinSeq, err))
-			return submitResp{Err: msg, ErrKind: kind}
-		}
-	}
-	dom, _, err := n.rt.Graph().Resolve(req.Target)
-	if err != nil && errors.Is(err, ownership.ErrNotFound) &&
-		n.plane != nil && n.plane.CatchUp() == nil {
-		// The sender may know the target from a mutation whose sequence it
-		// did not carry (e.g. a client-side retry): pull the log once
-		// before declaring the context unknown. Gated on not-found so other
-		// resolve failures don't buy a store round trip per submit.
-		dom, _, err = n.rt.Graph().Resolve(req.Target)
-	}
-	if err != nil {
-		// Keep the typed sentinel for the wire kind, but carry the real
-		// cause (store outage mid-catch-up, resolve ambiguity) in the
-		// message — "unknown context" alone hides what actually failed.
-		msg, kind := errFields(fmt.Errorf("dominator of %v: %v: %w", req.Target, err, core.ErrUnknownContext))
-		return submitResp{Err: msg, ErrKind: kind}
-	}
-	dir := n.rt.Directory()
-	host, ok := dir.Locate(dom)
-	if !ok {
-		// A forwarded event can name a sequencing point this node has
-		// resolved but never materialized: a virtual join minted by the
-		// Resolve above is placed only when the runtime materializes it.
-		// Materialize it here — the runtime places it deterministically
-		// alongside its first child — then re-read the directory.
-		if _, cerr := n.rt.Context(dom); cerr == nil {
-			host, ok = dir.Locate(dom)
-		}
-	}
-	if !ok {
-		msg, kind := errFields(fmt.Errorf("%v: %w", dom, core.ErrUnknownContext))
-		return submitResp{Err: msg, ErrKind: kind}
-	}
-	if !n.isLocal(host) {
-		// Forward on miss: our cached mapping says another node hosts the
-		// sequencing point.
-		if req.Hops >= n.cfg.MaxHops {
-			msg, kind := errFields(fmt.Errorf("%v after %d hops: %w", req.Target, req.Hops, ErrTooManyHops))
-			return submitResp{Err: msg, ErrKind: kind, Host: host}
-		}
-		fwd := req
-		fwd.Hops++
-		if s := n.replicaSeq(); s > fwd.MinSeq {
-			fwd.MinSeq = s
-		}
-		n.forwarded.Add(1)
-		start := time.Now()
-		resp, err := n.callSubmit(n.nodeFor(host), fwd)
-		d := time.Since(start)
-		n.forwardLat.Record(d)
-		n.span(req.Trace, "forward", req.Target, req.Method, req.Hops, d)
-		if err != nil {
-			msg, kind := errFields(err)
-			return submitResp{Err: msg, ErrKind: kind, Host: host}
-		}
-		n.learnPlacement(req.Target, resp.Host)
-		return resp
-	}
-	n.executed.Add(1)
-	start := time.Now()
-	res, err := n.rt.Submit(req.Target, req.Method, req.Args...)
-	d := time.Since(start)
-	n.submitLat.Record(d)
-	n.span(req.Trace, "execute", req.Target, req.Method, req.Hops, d)
-	resp := submitResp{Result: res}
-	resp.Err, resp.ErrKind = errFields(err)
-	// Report the authoritative placement after execution (the runtime may
-	// itself have forwarded if a migration raced admission).
-	if cur, ok := dir.Locate(dom); ok {
-		resp.Host = cur
-	}
-	return resp
-}
-
-// callSubmitBatch forwards a sub-batch of events to a peer as one hot batch
-// frame over the cached pipelined stream, mirroring callSubmit's transport
-// discipline (pooled encode buffer, stream drop on transport failure, no
-// retry — outcomes are ambiguous and events are not idempotent).
+// callSubmitBatch sends a batch frame to a peer over the cached pipelined
+// stream (pooled encode buffer, stream drop on transport failure, no retry)
+// and decodes its outcomes, one per event.
 func (n *Node) callSubmitBatch(to transport.NodeID, req *schema.SubmitBatchReq) (schema.SubmitBatchResp, error) {
 	buf := schema.GetFrameBuf()
 	payload, err := req.MarshalWire((*buf)[:0])
@@ -841,65 +654,65 @@ func (n *Node) callSubmitBatch(to transport.NodeID, req *schema.SubmitBatchReq) 
 
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: KindSubmitBatch, Payload: payload}
-	var raw transport.Message
-	if st := n.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			n.dropStream(to, st)
-		}
-	} else {
-		raw, err = n.ep.Call(ctx, to, msg)
-	}
+	raw, err := n.call(ctx, to, transport.Message{Kind: KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
 	if err != nil {
-		return schema.SubmitBatchResp{}, fmt.Errorf("batch submit to %v: %w", to, err)
+		return schema.SubmitBatchResp{}, fmt.Errorf("submit to %v: %w", to, err)
 	}
 	var resp schema.SubmitBatchResp
 	if err := resp.UnmarshalWire(raw.Payload); err != nil {
 		return schema.SubmitBatchResp{}, err
 	}
+	if len(resp.Outcomes) != len(req.Events) {
+		return schema.SubmitBatchResp{}, fmt.Errorf("submit to %v: %d outcomes for %d events", to, len(resp.Outcomes), len(req.Events))
+	}
 	return resp, nil
 }
 
-// handleSubmitBatch executes or forwards a batch of independent events in
-// one admission. The frame-level fields are charged once — one replication-
-// lag gate, one hop budget — while every outcome is per-event: a typed
-// failure (unknown context, backpressure, hop exhaustion) fills only its own
-// slot and its batchmates proceed. Events whose dominators live on peers are
-// regrouped into per-host sub-batches and forwarded as batch frames, so a
-// stale route costs one extra frame per host, not per event; each forwarded
-// outcome carries the authoritative Host, which is learned here exactly like
-// the single-submit path does.
-func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchResp {
-	n.batches.Add(1)
-	n.batchEvents.Add(uint64(len(req.Events)))
-	batchStart := time.Now()
-	defer func() { n.batchLat.Record(time.Since(batchStart)) }()
+// handleSubmitBatch is the node's submit executor: every submit frame, of
+// one event or many, executes or forwards here in one admission. Placement
+// is resolved against the local directory snapshot, and the frame-level
+// fields are charged once — one replication-lag gate, one hop budget — while
+// every outcome is per-event: a typed failure (unknown context,
+// backpressure, hop exhaustion) fills only its own slot and its batchmates
+// proceed. Events whose dominators live on peers are regrouped into per-host
+// sub-batches and forwarded with the hop budget decremented, so a stale
+// sender pays exactly the forwarding hop of the paper's staleness window,
+// once per host rather than per event; each forwarded outcome carries the
+// authoritative Host, which repairs this node's directory cache. start is
+// when the frame arrived; it returns the response and how many events
+// executed here.
+func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq, start time.Time) (schema.SubmitBatchResp, int) {
 	out := make([]schema.BatchOutcome, len(req.Events))
 	resp := schema.SubmitBatchResp{Outcomes: out}
 	if len(req.Events) == 0 {
-		return resp
+		return resp, 0
 	}
-	// One lag-aware admission for the whole frame (see handleSubmit).
+	// Lag-aware admission: the sender's replica had applied MinSeq of the
+	// mutation log when it routed here. Block until ours has too (a target
+	// may only exist past that sequence), then fail typed if the replica
+	// stays behind — never admit against a torn view.
 	if n.plane != nil && req.MinSeq > n.plane.Applied() {
 		if err := n.plane.WaitFor(req.MinSeq, n.cfg.ReplicaLagWait); err != nil {
 			n.emit("backpressure.lag", map[string]any{
 				"node": int64(n.id), "min_seq": req.MinSeq, "applied": n.plane.Applied(), "err": err.Error(),
 			})
-			msg, kind := errFields(fmt.Errorf("batch submit at seq %d: %w", req.MinSeq, err))
+			msg, kind := errFields(fmt.Errorf("submit at seq %d: %w", req.MinSeq, err))
 			for i := range out {
 				out[i].Err, out[i].ErrKind = msg, kind
 			}
-			return resp
+			return resp, 0
 		}
 	}
-	// At most one log catch-up per batch: the first unknown target pulls the
-	// log once; batchmates resolve against the refreshed snapshot.
+	// At most one log catch-up per frame: the sender may know a target from
+	// a mutation whose sequence it did not carry (e.g. a client-side retry),
+	// so the first unknown target pulls the log once and batchmates resolve
+	// against the refreshed snapshot. Gated on not-found so other resolve
+	// failures don't buy a store round trip.
 	caughtUp := false
-	executedHere := 0
+	executed, first := 0, -1
 	var fwd map[cluster.ServerID][]int
+	dir := n.rt.Directory()
 	for i := range req.Events {
 		ev := &req.Events[i]
 		dom, _, err := n.rt.Graph().Resolve(ev.Target)
@@ -910,15 +723,20 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 			}
 		}
 		if err != nil {
+			// Keep the typed sentinel for the wire kind, but carry the real
+			// cause (store outage mid-catch-up, resolve ambiguity) in the
+			// message — "unknown context" alone hides what actually failed.
 			msg, kind := errFields(fmt.Errorf("dominator of %v: %v: %w", ev.Target, err, core.ErrUnknownContext))
 			out[i].Err, out[i].ErrKind = msg, kind
 			continue
 		}
-		dir := n.rt.Directory()
 		host, ok := dir.Locate(dom)
 		if !ok {
-			// An unmaterialized virtual join: materialize it and re-read
-			// the directory, as handleSubmit does.
+			// The event can name a sequencing point this node has resolved
+			// but never materialized: a virtual join minted by the Resolve
+			// above is placed only when the runtime materializes it.
+			// Materialize it here — the runtime places it deterministically
+			// alongside its first child — then re-read the directory.
 			if _, cerr := n.rt.Context(dom); cerr == nil {
 				host, ok = dir.Locate(dom)
 			}
@@ -929,6 +747,8 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 			continue
 		}
 		if !n.isLocal(host) {
+			// Forward on miss: our cached mapping says another node hosts
+			// the sequencing point.
 			if req.Hops >= uint32(n.cfg.MaxHops) {
 				msg, kind := errFields(fmt.Errorf("%v after %d hops: %w", ev.Target, req.Hops, ErrTooManyHops))
 				out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
@@ -942,65 +762,87 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 		}
 		n.executed.Add(1)
 		res, err := n.rt.Submit(ev.Target, ev.Method, ev.Args...)
-		executedHere++
+		if executed == 0 {
+			first = i
+		}
+		executed++
 		out[i].Result = res
 		out[i].Err, out[i].ErrKind = errFields(err)
+		// Report the authoritative placement after execution (the runtime
+		// may itself have forwarded if a migration raced admission).
 		if cur, ok := dir.Locate(dom); ok {
 			out[i].Host = int64(cur)
 		}
 	}
-	if executedHere > 0 {
-		// One span covers the frame's locally executed slice — per-event spans
-		// would multiply the feed by the batch size for no extra structure.
-		n.span(req.Trace, "batch-execute", ownership.ID(executedHere), "", int(req.Hops), time.Since(batchStart))
+	if executed > 0 {
+		// One span covers the frame's locally executed slice — per-event
+		// spans would multiply the feed by the batch size for no extra
+		// structure.
+		n.span(req.Trace, "execute", &req.Events[first], executed, int(req.Hops), start)
 	}
 	if len(fwd) == 0 {
-		return resp
+		return resp, executed
 	}
-	// Regroup misrouted events per host and forward each group as one batch
-	// frame, concurrently across hosts. Outcome slots are disjoint per group,
-	// so the goroutines never write the same index.
-	minSeq := req.MinSeq
-	if s := n.replicaSeq(); s > minSeq {
-		minSeq = s
+	// Forward each host's sub-batch: inline when there is one host,
+	// concurrently otherwise. Outcome slots are disjoint per host, so the
+	// goroutines never write the same index.
+	minSeq := max(req.MinSeq, n.replicaSeq())
+	if len(fwd) == 1 {
+		for host, idxs := range fwd {
+			sub := subBatch(req, idxs, minSeq)
+			n.forwardBatch(&sub, out, host, idxs)
+		}
+		return resp, executed
 	}
 	var wg sync.WaitGroup
 	for host, idxs := range fwd {
+		sub := subBatch(req, idxs, minSeq)
 		wg.Add(1)
-		go func(host cluster.ServerID, idxs []int) {
+		go func() {
 			defer wg.Done()
-			sub := schema.SubmitBatchReq{
-				Hops:   req.Hops + 1,
-				MinSeq: minSeq,
-				Trace:  req.Trace,
-				Events: make([]schema.BatchEvent, len(idxs)),
-			}
-			for j, i := range idxs {
-				sub.Events[j] = req.Events[i]
-				n.forwarded.Add(1)
-			}
-			start := time.Now()
-			fres, err := n.callSubmitBatch(n.nodeFor(host), &sub)
-			n.span(req.Trace, "batch-forward", ownership.ID(len(idxs)), "", int(req.Hops), time.Since(start))
-			if err != nil {
-				msg, kind := errFields(err)
-				for _, i := range idxs {
-					out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
-				}
-				return
-			}
-			for j, i := range idxs {
-				if j >= len(fres.Outcomes) {
-					out[i].Err, out[i].ErrKind = "batch response truncated", errKindApp
-					continue
-				}
-				out[i] = fres.Outcomes[j]
-				n.learnPlacement(req.Events[i].Target, cluster.ServerID(fres.Outcomes[j].Host))
-			}
-		}(host, idxs)
+			n.forwardBatch(&sub, out, host, idxs)
+		}()
 	}
 	wg.Wait()
-	return resp
+	return resp, executed
+}
+
+// subBatch builds the frame that forwards the events of req at idxs one hop
+// further, carrying the sender's replica sequence floor minSeq.
+func subBatch(req *schema.SubmitBatchReq, idxs []int, minSeq uint64) schema.SubmitBatchReq {
+	sub := schema.SubmitBatchReq{
+		Hops:   req.Hops + 1,
+		MinSeq: minSeq,
+		Trace:  req.Trace,
+		Events: make([]schema.BatchEvent, len(idxs)),
+	}
+	for j, i := range idxs {
+		sub.Events[j] = req.Events[i]
+	}
+	return sub
+}
+
+// forwardBatch sends sub, the events at idxs of a frame this node received,
+// to host as one batch frame and fills their outcome slots, learning each
+// event's authoritative placement from the response.
+func (n *Node) forwardBatch(sub *schema.SubmitBatchReq, out []schema.BatchOutcome, host cluster.ServerID, idxs []int) {
+	n.forwarded.Add(uint64(len(idxs)))
+	start := time.Now()
+	fres, err := n.callSubmitBatch(n.nodeFor(host), sub)
+	n.forwardLat.Record(time.Since(start))
+	// The span carries the hop count this node saw the frame at.
+	n.span(sub.Trace, "forward", &sub.Events[0], len(idxs), int(sub.Hops)-1, start)
+	if err != nil {
+		msg, kind := errFields(err)
+		for _, i := range idxs {
+			out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
+		}
+		return
+	}
+	for j, i := range idxs {
+		out[i] = fres.Outcomes[j]
+		n.learnPlacement(sub.Events[j].Target, cluster.ServerID(out[i].Host))
+	}
 }
 
 // handleMigrate serves a commanded migration: only the node embodying the
@@ -1111,9 +953,10 @@ func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 // each member's state, then remap the local directory replica in one
 // MoveBatch epoch (RehostBatch) and mirror the NIC transfer accounting the
 // source engine charges on its side.
-func (n *Node) handleTransfer(req transferReq) error {
-	if !n.isLocal(req.To) {
-		return fmt.Errorf("transfer for %v: %w", req.To, ErrNotLocalServer)
+func (n *Node) handleTransfer(req *schema.TransferRec) error {
+	to, from := cluster.ServerID(req.To), cluster.ServerID(req.From)
+	if !n.isLocal(to) {
+		return fmt.Errorf("transfer for %v: %w", to, ErrNotLocalServer)
 	}
 	// Group members created at runtime exist here only once the replica has
 	// applied their creating records: block on the source's sequence before
@@ -1138,20 +981,20 @@ func (n *Node) handleTransfer(req transferReq) error {
 		}
 		c.SetState(v)
 	}
-	if err := n.rt.RehostBatch(req.Members, req.To); err != nil {
+	if err := n.rt.RehostBatch(req.Members, to); err != nil {
 		return err
 	}
 	n.transfersIn.Add(1)
 	n.emit("transfer.install", map[string]any{
 		"node": int64(n.id), "members": len(req.Members),
-		"from": int64(req.From), "to": int64(req.To), "bytes": req.TotalBytes,
+		"from": req.From, "to": req.To, "bytes": req.TotalBytes,
 	})
 	cl := n.rt.Cluster()
-	if s, ok := cl.Server(req.To); ok {
-		s.AddTransferBytes(int64(req.TotalBytes))
+	if s, ok := cl.Server(to); ok {
+		s.AddTransferBytes(req.TotalBytes)
 	}
-	if s, ok := cl.Server(req.From); ok {
-		s.AddTransferBytes(int64(req.TotalBytes))
+	if s, ok := cl.Server(from); ok {
+		s.AddTransferBytes(req.TotalBytes)
 	}
 	return nil
 }

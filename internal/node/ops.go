@@ -15,7 +15,7 @@ import (
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/ops"
-	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -137,12 +137,13 @@ func (n *Node) emit(typ string, fields map[string]any) {
 	}
 }
 
-// span records one per-hop trace span for a traced frame; a no-op for
-// untraced frames or with the plane off, so the hot path never builds the
-// fields map.
-func (n *Node) span(trace uint64, action string, target ownership.ID, method string, hop int, d time.Duration) {
+// span records one per-hop trace span for a traced frame, naming its first
+// event ev, the events count the action covers, and the time since start; a
+// no-op for untraced frames or with the plane off, so the hot path never
+// reads the clock or builds the fields map for it.
+func (n *Node) span(trace uint64, action string, ev *schema.BatchEvent, events, hop int, start time.Time) {
 	if n.ops == nil || trace == 0 {
 		return
 	}
-	n.ops.Span(trace, int64(n.id), action, uint64(target), method, hop, d)
+	n.ops.Span(trace, int64(n.id), action, uint64(ev.Target), ev.Method, events, hop, time.Since(start))
 }

@@ -105,8 +105,7 @@ func (s *StoreServer) handle(_ context.Context, _ transport.NodeID, req transpor
 	switch req.Kind {
 	case KindPing:
 		s.pings.Add(1)
-		payload, err := encodeFrame(pingResp{Node: s.id})
-		return transport.Message{Kind: KindPing, Payload: payload}, err
+		return transport.Message{Kind: KindPing}, nil
 	case KindStore:
 		s.storeOps.Add(1)
 		return serveStoreFrame(req.Payload, func(sr *schema.StoreReq) schema.StoreResp {

@@ -2,24 +2,21 @@ package node
 
 // The node wire protocol: frames carried in transport.Message payloads over
 // Mesh.Call and mux streams. Every exchange is strictly request/response.
-// Submit, batch, notify, transfer, store, migrate and transfer-query frames
-// ride the hand-rolled hot codec (schema/hotframe.go, schema/storeframe.go);
-// only pings and the legacy gob submit, transfer and replicate fallbacks
-// still use gob (encodeFrame/decodeFrame). Handler-level failures travel
-// in-band as an error kind plus message, so typed errors (unknown context,
-// hop-budget exhaustion, backpressure, store version mismatch) survive the
-// wire instead of flattening into strings.
+// Every frame with a body rides the hand-rolled hot codec
+// (schema/hotframe.go, schema/storeframe.go); ping and shutdown frames carry
+// empty payloads. Node-to-node submits and forwards are always batch frames;
+// a single-event node.submit frame from a client is executed as a batch of
+// one. Handler-level failures travel in-band as an error kind plus message,
+// so typed errors (unknown context, hop-budget exhaustion, backpressure,
+// store version mismatch) survive the wire instead of flattening into
+// strings.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
 	"aeon/internal/cloudstore"
-	"aeon/internal/cluster"
 	"aeon/internal/core"
-	"aeon/internal/ownership"
 	"aeon/internal/replication"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
@@ -29,12 +26,12 @@ import (
 const (
 	// KindPing checks liveness and readiness of a peer.
 	KindPing = "node.ping"
-	// KindSubmit submits (or forwards) one event for execution.
+	// KindSubmit submits one event for execution (schema.SubmitReq/Resp).
+	// Ingress clients send it; the node executes it as a one-event batch.
 	KindSubmit = "node.submit"
 	// KindSubmitBatch submits (or forwards) a batch of independent events in
-	// one frame: one admission, one response, per-event outcomes. Batch
-	// frames are hot-codec only (schema.SubmitBatchReq/Resp) — they were
-	// born after the gob fallback era.
+	// one frame: one admission, one response, per-event outcomes
+	// (schema.SubmitBatchReq/Resp). Nodes forward only in batch frames.
 	KindSubmitBatch = "node.submit.batch"
 	// KindStore performs one cloud-store operation on the store node.
 	KindStore = "node.store"
@@ -92,34 +89,6 @@ var (
 	ErrNotLocalServer = errors.New("node: server not embodied by this node")
 )
 
-// submitReq asks the receiving node to execute one event. Hops counts how
-// many times the frame has been forwarded already. MinSeq is the sender's
-// applied replication sequence: the receiver must have applied at least
-// that much of the mutation log before admitting the event, or it could
-// reject a target the sender just created (it blocks on the needed
-// sequence, then fails typed if the replica stays behind).
-type submitReq struct {
-	Target ownership.ID
-	Method string
-	Args   []any
-	Hops   int
-	MinSeq uint64
-	// Trace is the optional 8-byte trace ID carried by hot frames (0 =
-	// untraced); forwards propagate it and traced hops emit span records.
-	Trace uint64
-}
-
-// submitResp carries the event result. Host is the authoritative placement
-// of the event's sequencing point after execution, so stale callers can
-// repair their directory cache ("notify source host to update its context
-// map", § 5.2).
-type submitResp struct {
-	Result  any
-	Host    cluster.ServerID
-	Err     string
-	ErrKind string
-}
-
 // Store operation selectors (schema.StoreReq.Op).
 const (
 	storeGet         = "get"
@@ -146,64 +115,6 @@ const (
 	storePromote      = "promote"
 	storeEpoch        = "epoch"
 )
-
-// transferReq ships a stopped migration group's serialized state to the
-// destination node. States maps member ID to its schema.EncodeWire payload;
-// members without an entry (nil state, adopted stragglers carrying factory
-// state) are remapped without a state install. MinSeq is the source's
-// applied replication sequence: members created at runtime exist on the
-// destination only once its replica reaches their creating records, so the
-// install blocks on that sequence like submit admission does.
-type transferReq struct {
-	Members    []ownership.ID
-	From       cluster.ServerID
-	To         cluster.ServerID
-	TotalBytes int
-	States     map[uint64][]byte
-	MinSeq     uint64
-}
-
-// replicateReq hints that the replication log reached Seq (the transport
-// already identifies the sender).
-type replicateReq struct {
-	Seq uint64
-}
-
-// replicateResp acknowledges a replicate-notify hint.
-type replicateResp struct{}
-
-// pingResp reports liveness.
-type pingResp struct {
-	Node transport.NodeID
-}
-
-func init() {
-	// Node wire frames travel through the shared registry like every other
-	// cross-process payload.
-	schema.RegisterWireTypes(
-		submitReq{}, submitResp{},
-		transferReq{},
-		replicateReq{}, replicateResp{},
-		pingResp{},
-	)
-}
-
-// encodeFrame gob-encodes one wire frame.
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("node: encode frame %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeFrame decodes a wire frame into out (a pointer).
-func decodeFrame(b []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
-		return fmt.Errorf("node: decode frame %T: %w", out, err)
-	}
-	return nil
-}
 
 // ackFrame answers a migrate or transfer frame with its outcome.
 func ackFrame(kind string, err error) (transport.Message, error) {

@@ -83,17 +83,20 @@ func (e Event) NDJSON() ([]byte, error) { return json.Marshal(e) }
 func TraceHex(trace uint64) string { return fmt.Sprintf("%016x", trace) }
 
 // Span emits one per-hop trace span record into the event feed. action says
-// what the node did with the traced frame ("execute", "forward",
-// "batch-execute", "batch-forward"); hop is the frame's hop count when the
-// node saw it, so a client → node A → node B submit yields hop 0 and hop 1
-// spans under one trace.
-func (r *Registry) Span(trace uint64, node int64, action string, target uint64, method string, hop int, d time.Duration) {
+// what the node did with the traced submit frame: "execute" (its events
+// that ran locally) or "forward" (a sub-frame shipped to the hosting peer).
+// target and method name the first event the action covers and events
+// counts them; hop is the frame's hop count when the node saw it, so a
+// client → node A → node B submit yields hop 0 and hop 1 spans under one
+// trace.
+func (r *Registry) Span(trace uint64, node int64, action string, target uint64, method string, events, hop int, d time.Duration) {
 	r.Emit("trace.span", map[string]any{
 		"trace":  TraceHex(trace),
 		"node":   node,
 		"action": action,
 		"target": target,
 		"method": method,
+		"events": events,
 		"hop":    hop,
 		"us":     d.Microseconds(),
 	})

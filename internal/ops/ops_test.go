@@ -262,13 +262,13 @@ func TestAdminEventsLappedCursor(t *testing.T) {
 
 func TestSpanEvent(t *testing.T) {
 	reg := NewRegistry(8)
-	reg.Span(0xdeadbeef, 3, "forward", 17, "deposit", 1, 250*time.Microsecond)
+	reg.Span(0xdeadbeef, 3, "forward", 17, "deposit", 2, 1, 250*time.Microsecond)
 	events, _, _, _ := reg.EventsSince(0)
 	if len(events) != 1 || events[0].Type != "trace.span" {
 		t.Fatalf("events = %+v", events)
 	}
 	f := events[0].Fields
-	if f["trace"] != TraceHex(0xdeadbeef) || f["action"] != "forward" || f["hop"] != 1 {
+	if f["trace"] != TraceHex(0xdeadbeef) || f["action"] != "forward" || f["events"] != 2 || f["hop"] != 1 {
 		t.Fatalf("span fields = %+v", f)
 	}
 	if TraceHex(0xdeadbeef) != "00000000deadbeef" {

@@ -9,9 +9,9 @@ package schema
 // dominating the remote submit cost; these frames instead get a fixed
 // little-endian layout with varint integers, a tagged value encoding for
 // `any` fields, and buffer reuse via sync.Pool, so the steady-state ingress
-// path encodes and decodes without allocating. Only pings and the legacy
-// gob submit/transfer/replicate frames stay on the registered-gob codec —
-// see RegisterWireType.
+// path encodes and decodes without allocating. It is the only node frame
+// codec: registered gob (RegisterWireType) carries only event payloads of
+// exotic types, checkpointed state and migration state blobs.
 //
 // Frame layout: every hot frame starts with [HotMagic, type byte]. HotMagic
 // (0xA7) can never begin a valid gob stream (gob's leading byte is either a

@@ -124,24 +124,16 @@ func (e *faultyEndpoint) Call(ctx context.Context, to NodeID, req Message) (Mess
 
 func (e *faultyEndpoint) Close() error { return e.inner.Close() }
 
-// Stream implements Streamer when the inner endpoint does: the pipelined
-// path is subject to the same directed-link faults as one-shot calls, so
-// tests can drop, duplicate, and lose-the-response-of individual pipelined
-// requests.
+// Stream implements Streamer: the pipelined path is subject to the same
+// directed-link faults as one-shot calls, so tests can drop, duplicate, and
+// lose-the-response-of individual pipelined requests.
 func (e *faultyEndpoint) Stream(to NodeID) (Stream, error) {
-	inner, ok, err := OpenStream(e.inner, to)
-	if !ok {
-		return nil, fmt.Errorf("%T: %w", e.inner, ErrNoStreams)
-	}
+	inner, err := e.inner.Stream(to)
 	if err != nil {
 		return nil, err
 	}
 	return &faultyStream{mesh: e.mesh, from: e.inner.ID(), to: to, inner: inner}, nil
 }
-
-// ErrNoStreams is returned when opening a stream on a mesh whose inner
-// endpoints only support one-shot calls.
-var ErrNoStreams = errors.New("transport: endpoint does not support streams")
 
 type faultyStream struct {
 	mesh  *FaultyMesh

@@ -18,8 +18,10 @@ type Message struct {
 // Handler processes a request and produces a response.
 type Handler func(ctx context.Context, from NodeID, req Message) (Message, error)
 
-// Endpoint is one node's attachment to a mesh.
+// Endpoint is one node's attachment to a mesh. Every endpoint offers both
+// one-shot calls and pipelined streams.
 type Endpoint interface {
+	Streamer
 	// ID returns this endpoint's node ID.
 	ID() NodeID
 	// Call sends a request to another node and waits for its response. The
@@ -73,26 +75,11 @@ func StreamCallBatch(ctx context.Context, st Stream, reqs []Message) ([]Message,
 	return msgs, errs, nil
 }
 
-// Streamer is implemented by endpoints that support pipelined multiplexed
-// streams in addition to one-shot calls.
+// Streamer opens pipelined multiplexed streams; every Endpoint is one.
 type Streamer interface {
 	// Stream opens a pipelined stream to a peer. Streams are not pooled by
 	// the transport: callers cache and reopen them.
 	Stream(to NodeID) (Stream, error)
-}
-
-// OpenStream opens a pipelined stream to a peer when the endpoint supports
-// it; ok is false otherwise (callers fall back to one-shot Call).
-func OpenStream(ep Endpoint, to NodeID) (Stream, bool, error) {
-	s, ok := ep.(Streamer)
-	if !ok {
-		return nil, false, nil
-	}
-	st, err := s.Stream(to)
-	if err != nil {
-		return nil, true, err
-	}
-	return st, true, nil
 }
 
 // Mesh connects endpoints so they can exchange request/response messages.

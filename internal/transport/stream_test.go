@@ -46,9 +46,9 @@ func tcpPair(t *testing.T, h Handler) (client Endpoint, server Endpoint, mesh *T
 // own payloads.
 func TestMuxStreamRoundTrip(t *testing.T) {
 	cli, _, _ := tcpPair(t, mirrorHandler)
-	st, ok, err := OpenStream(cli, 1)
-	if !ok || err != nil {
-		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
+	st, err := cli.Stream(1)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
@@ -95,9 +95,9 @@ func TestMuxStreamPipelines(t *testing.T) {
 		return Message{Kind: req.Kind, Payload: req.Payload}, nil
 	}
 	cli, _, _ := tcpPair(t, h)
-	st, _, err := OpenStream(cli, 1)
+	st, err := cli.Stream(1)
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
@@ -137,9 +137,9 @@ func TestMuxLateResponseNeverMatchesNewerRequest(t *testing.T) {
 		return Message{Kind: req.Kind, Payload: req.Payload}, nil
 	}
 	cli, _, _ := tcpPair(t, h)
-	st, _, err := OpenStream(cli, 1)
+	st, err := cli.Stream(1)
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
@@ -327,9 +327,9 @@ func TestFaultyStreamFaults(t *testing.T) {
 	}
 	defer cli.Close()
 
-	st, ok, err := OpenStream(cli, 1)
-	if !ok || err != nil {
-		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
+	st, err := cli.Stream(1)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 	ctx := context.Background()
@@ -392,9 +392,9 @@ func TestMuxServerShutdownCancelsHandlers(t *testing.T) {
 		return Message{}, ctx.Err()
 	}
 	cli, srv, _ := tcpPair(t, h)
-	st, _, err := OpenStream(cli, 1)
+	st, err := cli.Stream(1)
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
@@ -442,7 +442,7 @@ func TestMuxConcurrentClientsStress(t *testing.T) {
 			t.Fatalf("attach client %d: %v", c, err)
 		}
 		defer ep.Close()
-		st, _, err := OpenStream(ep, 1)
+		st, err := ep.Stream(1)
 		if err != nil {
 			t.Fatalf("stream client %d: %v", c, err)
 		}
@@ -524,9 +524,9 @@ func TestMuxCallBatchPerCallErrors(t *testing.T) {
 		return Message{Kind: req.Kind, Payload: req.Payload}, nil
 	}
 	cli, _, _ := tcpPair(t, h)
-	st, _, err := OpenStream(cli, 1)
+	st, err := cli.Stream(1)
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 	bc, ok := st.(BatchCaller)
@@ -562,9 +562,9 @@ func TestMuxCallBatchPerCallErrors(t *testing.T) {
 // slot is re-armed with a fresh, never-reused correlation ID each time).
 func TestMuxSlotReuseAcrossWindow(t *testing.T) {
 	cli, _, _ := tcpPair(t, mirrorHandler)
-	st, _, err := OpenStream(cli, 1)
+	st, err := cli.Stream(1)
 	if err != nil {
-		t.Fatalf("OpenStream: %v", err)
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
@@ -679,9 +679,9 @@ func TestStreamCallBatchFallback(t *testing.T) {
 		t.Fatalf("attach client: %v", err)
 	}
 	defer cli.Close()
-	st, ok, err := OpenStream(cli, 1)
-	if !ok || err != nil {
-		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
+	st, err := cli.Stream(1)
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
 	}
 	defer st.Close()
 
