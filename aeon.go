@@ -98,7 +98,8 @@ type (
 	// "when latency > 10ms add server m1.small".
 	DSLPolicy = emanager.DSLPolicy
 
-	// CloudStore is the versioned KV store backing the eManager.
+	// CloudStore is the versioned KV store backing the eManager: the one
+	// replica of the single-partition store plane a System journals into.
 	CloudStore = cloudstore.Store
 	// SimNetworkConfig parameterizes the simulated network.
 	SimNetworkConfig = transport.SimConfig
@@ -244,7 +245,7 @@ func New(opts ...Option) (*System, error) {
 		mgrCfg = o.mgrCfg
 	}
 	store := cloudstore.New(o.storeOpts...)
-	mgr := emanager.New(rt, store, mgrCfg)
+	mgr := emanager.New(rt, cloudstore.NewReplicated(0, store), mgrCfg)
 	return &System{Runtime: rt, Cluster: cl, Manager: mgr, Store: store}, nil
 }
 

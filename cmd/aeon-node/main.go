@@ -79,8 +79,8 @@ func run() error {
 		workloadF  = flag.String("workload", "bank", "workload to host (bank, or a scenario: iot, social)")
 		accounts   = flag.Int("accounts", 4, "accounts per bank (bank workload)")
 		balance    = flag.Int("balance", 1000, "initial balance per account")
-		storeID    = flag.Int("store", 1, "node serving the authoritative cloud store (ignored with -store-parts)")
-		storeParts = flag.Int("store-parts", 0, "partitions of the sharded store plane; partition p is served by the replica set s<3p+1>..s<3p+3> (boot primary first); 0 = single store node (-store)")
+		storeID    = flag.Int("store", 1, "node serving the cloud store as the one replica of a one-partition store plane (ignored with -store-parts)")
+		storeParts = flag.Int("store-parts", 0, "partitions of the sharded store plane; partition p is served by the replica set s<3p+1>..s<3p+3> (boot primary first); 0 = one partition whose only replica is node -store")
 		serveStore = flag.Int("serve-store", 0, "run as dedicated store server k (mesh address s<k>) instead of an AEON node")
 		storeBack  = flag.String("store-backend", "memory", "store server backend: memory, or disk:<dir> (only with -serve-store)")
 		drive      = flag.Bool("drive", false, "drive the smoke workload against the deployment, then shut peers down")
@@ -175,15 +175,10 @@ func run() error {
 	if *storeParts > 0 {
 		// Same derivation on every process: partition p's replica set is
 		// s(3p+1)..s(3p+3) — boot primary first, failover in epoch order.
-		for p := 0; p < *storeParts; p++ {
-			ids := make([]transport.NodeID, node.StoreRF)
-			for r := 0; r < node.StoreRF; r++ {
-				ids[r] = node.StoreIDBase + transport.NodeID(node.StoreRF*p+r+1)
-			}
-			cfg.StoreReplicas = append(cfg.StoreReplicas, node.StorePartition{Replicas: ids})
-		}
+		cfg.StoreReplicas = node.StorePartitions(*storeParts)
 	} else {
-		cfg.StoreNode = transport.NodeID(*storeID)
+		// The single store node is a one-partition, one-replica plane.
+		cfg.StoreReplicas = []node.StorePartition{{Replicas: []transport.NodeID{transport.NodeID(*storeID)}}}
 	}
 	var reg *ops.Registry
 	if *admin != "" {

@@ -159,7 +159,7 @@ cooldown 1ns
 	}
 
 	// eManager hand-over: a second manager over the same store can operate.
-	mgr2 := emanager.New(rt, sys.Store, emanager.DefaultConfig())
+	mgr2 := emanager.New(rt, sys.Manager.Store(), emanager.DefaultConfig())
 	if err := mgr2.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -94,7 +94,7 @@ func runFig7(o Options) ([]fig7Run, time.Duration, error) {
 			mcfg := emanager.DefaultConfig()
 			mcfg.MovableClasses = []string{"Room"}
 			mcfg.PollInterval = window
-			mgr = emanager.New(app.Runtime(), cloudstore.New(cloudstore.WithLatency(time.Millisecond)), mcfg)
+			mgr = emanager.New(app.Runtime(), cloudstore.NewReplicated(0, cloudstore.New(cloudstore.WithLatency(time.Millisecond))), mcfg)
 			mgr.AddPolicy(&emanager.SLAPolicy{
 				Target:     sla,
 				Profile:    cluster.M1Small,

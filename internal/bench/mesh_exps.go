@@ -98,7 +98,7 @@ func meshModeRow(o Options, mode string, nodes, accounts int, dur time.Duration)
 			rt.Close()
 			return nil, err
 		}
-		mgr := emanager.New(rt, cloudstore.New(), emanager.DefaultConfig())
+		mgr := emanager.New(rt, cloudstore.NewReplicated(0, cloudstore.New()), emanager.DefaultConfig())
 		submit = rt.Submit
 		migrate = mgr.MigrateGroup
 		cleanup = rt.Close

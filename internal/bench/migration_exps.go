@@ -68,7 +68,7 @@ func Fig8(o Options) (*Table, error) {
 		}
 		mcfg := emanager.DefaultConfig()
 		mcfg.MovableClasses = []string{"Room"}
-		mgr := emanager.New(app.Runtime(), cloudstore.New(cloudstore.WithLatency(time.Millisecond)), mcfg)
+		mgr := emanager.New(app.Runtime(), cloudstore.NewReplicated(0, cloudstore.New(cloudstore.WithLatency(time.Millisecond))), mcfg)
 
 		// Background load with per-window throughput accounting.
 		type runOut struct {
@@ -177,7 +177,7 @@ func Fig9(o Options) (*Table, error) {
 			mcfg.Delta = time.Millisecond
 			mcfg.ProtocolWork = 1500 * time.Microsecond
 			mgr := emanager.New(app.Runtime(),
-				cloudstore.New(cloudstore.WithLatency(time.Millisecond)), mcfg)
+				cloudstore.NewReplicated(0, cloudstore.New(cloudstore.WithLatency(time.Millisecond))), mcfg)
 
 			room := app.Rooms()[0]
 			deadline := time.Now().Add(dur)
@@ -351,7 +351,7 @@ func newMigrationWorld(size, pad int) (*migrationWorld, error) {
 		return nil, err
 	}
 	store := cloudstore.New(cloudstore.WithLatency(time.Millisecond))
-	engine := migration.NewEngine(rt, store, migration.Config{
+	engine := migration.NewEngine(rt, cloudstore.NewReplicated(0, store), migration.Config{
 		Delta:        2 * time.Millisecond,
 		ProtocolWork: 1500 * time.Microsecond,
 	})

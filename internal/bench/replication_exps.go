@@ -107,7 +107,7 @@ func replicationModeRow(o Options, mode string, nodes, accounts int, dur time.Du
 				return 0, 0, 0, err
 			}
 			if replicate {
-				p := replication.New(rt, cloudstore.New(), replication.Config{Origin: 1})
+				p := replication.New(rt, cloudstore.NewReplicated(0, cloudstore.New()), replication.Config{Origin: 1})
 				rt.SetReplicator(p)
 				if err := p.Start(); err != nil {
 					return 0, 0, 0, err

@@ -90,10 +90,10 @@ type storePlane struct {
 func newStorePlane(parts int) (*storePlane, error) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
 	sp := &storePlane{mesh: mesh, parts: parts}
-	for p := 0; p < parts; p++ {
-		for r := 0; r < node.StoreRF; r++ {
+	for _, part := range node.StorePartitions(parts) {
+		for _, id := range part.Replicas {
 			st := cloudstore.New(cloudstore.WithSerialLatency(storeServiceTime))
-			srv, err := node.ServeStore(mesh, node.StoreIDBase+transport.NodeID(node.StoreRF*p+r+1), st)
+			srv, err := node.ServeStore(mesh, id, st)
 			if err != nil {
 				sp.Close()
 				return nil, err
@@ -115,15 +115,15 @@ func newStorePlane(parts int) (*storePlane, error) {
 // client builds one worker's view of the plane: a Partitioned router over
 // per-partition Replicated clients speaking RemoteStore to the servers.
 func (sp *storePlane) client(base context.Context) *cloudstore.Partitioned {
-	apis := make([]cloudstore.API, sp.parts)
-	for p := 0; p < sp.parts; p++ {
-		reps := make([]cloudstore.ReplicaAPI, node.StoreRF)
-		for r := 0; r < node.StoreRF; r++ {
-			reps[r] = node.NewRemoteStore(sp.ep, node.StoreIDBase+transport.NodeID(node.StoreRF*p+r+1), 5*time.Second, base)
+	parts := make([]*cloudstore.Replicated, sp.parts)
+	for p, part := range node.StorePartitions(sp.parts) {
+		reps := make([]cloudstore.ReplicaAPI, len(part.Replicas))
+		for r, id := range part.Replicas {
+			reps[r] = node.NewRemoteStore(sp.ep, id, 5*time.Second, base)
 		}
-		apis[p] = cloudstore.NewReplicated(p, reps...)
+		parts[p] = cloudstore.NewReplicated(p, reps...)
 	}
-	return cloudstore.NewPartitioned(apis...)
+	return cloudstore.NewPartitioned(parts...)
 }
 
 func (sp *storePlane) Close() {

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/ingress"
 	"aeon/internal/node"
@@ -795,14 +796,13 @@ func (r *runner) finalCheck() {
 	// trailing record can legitimately be primary-local (accepted but never
 	// quorum-acked before the kill), so tolerate a one-record straggle.
 	for p := range r.deadStore {
-		dead := r.d.StoreBackends[storeRF*p]
-		deadKeys, err := dead.List("replog/rec/")
+		deadKeys, err := cloudstore.ReplicaKeys(r.d.StoreBackends[storeRF*p], p, "replog/rec/")
 		if err != nil {
 			continue
 		}
 		surv := make(map[string]bool)
 		for rr := 1; rr < storeRF; rr++ {
-			keys, err := r.d.StoreBackends[storeRF*p+rr].List("replog/rec/")
+			keys, err := cloudstore.ReplicaKeys(r.d.StoreBackends[storeRF*p+rr], p, "replog/rec/")
 			if err != nil {
 				continue
 			}

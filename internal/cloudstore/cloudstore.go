@@ -6,12 +6,18 @@
 //
 // The store is a versioned key-value store with compare-and-swap, per-
 // operation simulated latency, and injectable unavailability so tests can
-// exercise eManager crash/recovery paths.
+// exercise eManager crash/recovery paths. It has one client discipline:
+// a replica (Store, DiskStore, or node.RemoteStore over the mesh) exposes
+// only the fenced ReplicaAPI, and clients reach it through Replicated — one
+// partition's replica set — or Partitioned, which routes keys over several.
+// A single store is a one-partition, one-replica set.
 package cloudstore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,11 +40,10 @@ var (
 	ErrFenced = errors.New("cloudstore: fenced by a newer epoch")
 )
 
-// API is the operation surface cloud-store clients depend on. The in-memory
-// Store implements it directly; in multi-process deployments the node
-// runtime's RemoteStore implements it over the transport mesh, so the
-// eManager and migration engine journal into one authoritative store no
-// matter which process they run in.
+// API is the operation surface cloud-store clients depend on: the eManager,
+// the migration engine and the replication log journal through it. Replicated
+// implements it over one partition's replicas and Partitioned over several,
+// so the callers see one store no matter where or how many replicas run.
 type API interface {
 	// Get returns the value and version stored at key.
 	Get(key string) ([]byte, uint64, error)
@@ -67,7 +72,9 @@ type entry struct {
 	version uint64
 }
 
-// Store is an in-memory versioned KV store.
+// Store is an in-memory versioned KV store replica. It serves the fenced
+// ReplicaAPI only; wrap it in a Replicated (NewReplicated(0, st) for a
+// single store) to get the client API.
 type Store struct {
 	latency       time.Duration
 	serialLatency time.Duration
@@ -87,10 +94,7 @@ type Store struct {
 	writes atomic.Uint64
 }
 
-var (
-	_ API        = (*Store)(nil)
-	_ ReplicaAPI = (*Store)(nil)
-)
+var _ ReplicaAPI = (*Store)(nil)
 
 // Option configures a Store.
 type Option func(*Store)
@@ -175,8 +179,7 @@ func (s *Store) fenceGateLocked(part int, epoch uint64, advance bool) ([]jrec, e
 // --- operation cores -------------------------------------------------------
 // Each core assumes mu is held and the serial service latency has been
 // charged; it mutates state and returns the journal records describing the
-// mutation. The unfenced API ops and the fenced replica ops are both thin
-// wrappers over these.
+// mutation. The fenced replica ops below wrap them with the fence gate.
 
 func (s *Store) getLocked(key string) ([]byte, uint64, error) {
 	e, ok := s.data[key]
@@ -208,12 +211,13 @@ func (s *Store) setLocked(key string, value []byte) jrec {
 	return jrec{Op: jSet, Key: key, Val: stored, Ver: v}
 }
 
-func sortedKeys(entries map[string][]byte) []string {
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -291,195 +295,32 @@ func (s *Store) deleteBatchLocked(keys []string) (uint64, []jrec) {
 	return last, recs
 }
 
-// --- unfenced API ----------------------------------------------------------
-
-// Get returns the value and version stored at key.
-func (s *Store) Get(key string) ([]byte, uint64, error) {
-	if err := s.charge(); err != nil {
-		return nil, 0, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	return s.getLocked(key)
-}
-
-// Put unconditionally stores value at key and returns the new version.
-func (s *Store) Put(key string, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	rec := s.setLocked(key, value)
-	if err := s.commitLocked([]jrec{rec}); err != nil {
-		return 0, err
-	}
-	return rec.Ver, nil
-}
-
-// PutBatch stores every entry in one round trip: the per-operation latency
-// is charged once for the whole batch (one RPC to the storage service), and
-// the writes apply atomically under the store lock. Each key still receives
-// its own fresh version, assigned in sorted key order so batches are
-// deterministic. Returns the highest version assigned.
-func (s *Store) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	// One batched RPC, not len(entries) operations.
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	last, recs := s.putBatchLocked(entries)
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CreateBatch atomically creates every entry — one charged write — failing
-// with ErrVersionMismatch (and writing nothing) if any key already exists.
-// Concurrent writers racing to create the same generation of keys collide on
-// the first common key instead of silently overwriting each other, which is
-// what makes CAS-style read-recompute-retry loops possible over batches.
-func (s *Store) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	// One batched RPC, like PutBatch.
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	last, recs, err := s.createBatchLocked(entries)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CAS stores value at key only if the current version equals expect.
-// expect == 0 means "key must not exist" (create).
-func (s *Store) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	v, recs, err := s.casLocked(key, expect, value)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// Delete removes key. Deleting a missing key is an error so callers notice
-// protocol bugs.
-func (s *Store) Delete(key string) error {
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	_, recs, err := s.deleteLocked(key)
-	if err != nil {
-		return err
-	}
-	return s.commitLocked(recs)
-}
-
-// DeleteBatch removes every key in one round trip: one charged write, with
-// the removals applied atomically under the store lock. Missing keys are
-// ignored — callers use it to prune superseded entries (e.g. old checkpoint
-// sequences) and a concurrent pruner is not a protocol error.
-func (s *Store) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	_, recs := s.deleteBatchLocked(keys)
-	return s.commitLocked(recs)
-}
-
-// List returns the keys with the given prefix in sorted order.
-func (s *Store) List(prefix string) ([]string, error) {
-	if err := s.charge(); err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	return s.listLocked(prefix), nil
-}
-
 // --- fenced replica ops ----------------------------------------------------
 // The replicated client's surface: every op carries the partition and the
 // fence epoch of the caller's view, and the fence gate runs under the same
 // lock acquisition as the operation itself — there is no window where a
 // newer fence can land between the check and the mutation.
 
-// GetF is Get under the partition fence: a replica that has accepted a
-// newer epoch refuses the read with ErrFenced instead of serving a view
-// that may be missing writes acknowledged through a newer primary.
-func (s *Store) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
+// fencedRead runs one read core under the partition fence. Reads never
+// advance the fence.
+func (s *Store) fencedRead(part int, epoch uint64, core func() error) error {
 	if err := s.charge(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	s.reads.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.serviceLocked()
 	if _, err := s.fenceGateLocked(part, epoch, false); err != nil {
-		return nil, 0, err
+		return err
 	}
-	return s.getLocked(key)
+	return core()
 }
 
-// ListF is List under the partition fence.
-func (s *Store) ListF(part int, epoch uint64, prefix string) ([]string, error) {
-	if err := s.charge(); err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	if _, err := s.fenceGateLocked(part, epoch, false); err != nil {
-		return nil, err
-	}
-	return s.listLocked(prefix), nil
-}
-
-// PutF is Put under the partition fence.
-func (s *Store) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
+// fencedWrite runs one mutation core under the partition fence — one
+// charged write — and journals a fence advance together with the core's
+// records in a single commit. It returns the version the core reports.
+func (s *Store) fencedWrite(part int, epoch uint64, core func() (uint64, []jrec, error)) (uint64, error) {
 	if err := s.charge(); err != nil {
 		return 0, err
 	}
@@ -491,135 +332,111 @@ func (s *Store) PutF(part int, epoch uint64, key string, value []byte) (uint64, 
 	if err != nil {
 		return 0, err
 	}
-	rec := s.setLocked(key, value)
-	if err := s.commitLocked(append(frecs, rec)); err != nil {
+	v, recs, err := core()
+	if err != nil {
 		return 0, err
 	}
-	return rec.Ver, nil
+	if err := s.commitLocked(append(frecs, recs...)); err != nil {
+		return 0, err
+	}
+	return v, nil
 }
 
-// PutBatchF is PutBatch under the partition fence.
+// GetF returns the value and version stored at key, under the partition
+// fence: a replica that has accepted a newer epoch refuses the read with
+// ErrFenced instead of serving a view that may be missing writes
+// acknowledged through a newer primary.
+func (s *Store) GetF(part int, epoch uint64, key string) (val []byte, ver uint64, err error) {
+	err = s.fencedRead(part, epoch, func() (err error) {
+		val, ver, err = s.getLocked(key)
+		return err
+	})
+	return val, ver, err
+}
+
+// ListF returns the keys with the given prefix in sorted order, under the
+// partition fence.
+func (s *Store) ListF(part int, epoch uint64, prefix string) (keys []string, err error) {
+	err = s.fencedRead(part, epoch, func() error {
+		keys = s.listLocked(prefix)
+		return nil
+	})
+	return keys, err
+}
+
+// PutF unconditionally stores value at key under the partition fence and
+// returns the new version.
+func (s *Store) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		rec := s.setLocked(key, value)
+		return rec.Ver, []jrec{rec}, nil
+	})
+}
+
+// PutBatchF stores every entry in one round trip under the partition fence:
+// the per-operation latency is charged once for the whole batch (one RPC to
+// the storage service), and the writes apply atomically under the store
+// lock. Each key still receives its own fresh version, assigned in sorted
+// key order so batches are deterministic. Returns the highest version
+// assigned.
 func (s *Store) PutBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs := s.putBatchLocked(entries)
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		last, recs := s.putBatchLocked(entries)
+		return last, recs, nil
+	})
 }
 
-// CreateBatchF is CreateBatch under the partition fence.
+// CreateBatchF atomically creates every entry — one charged write — under
+// the partition fence, failing with ErrVersionMismatch (and writing nothing)
+// if any key already exists. Concurrent writers racing to create the same
+// generation of keys collide on the first common key instead of silently
+// overwriting each other, which is what makes CAS-style
+// read-recompute-retry loops possible over batches.
 func (s *Store) CreateBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs, err := s.createBatchLocked(entries)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		return s.createBatchLocked(entries)
+	})
 }
 
-// CASF is CAS under the partition fence.
+// CASF stores value at key under the partition fence only if the current
+// version equals expect (0 means "key must not exist").
 func (s *Store) CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	v, recs, err := s.casLocked(key, expect, value)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		return s.casLocked(key, expect, value)
+	})
 }
 
-// DeleteF is Delete under the partition fence, returning the tombstone
+// DeleteF removes key under the partition fence, returning the tombstone
 // version assigned to the removal so a replicating client can forward the
-// delete to followers with ordering information.
+// delete to followers with ordering information. Deleting a missing key is
+// an error so callers notice protocol bugs.
 func (s *Store) DeleteF(part int, epoch uint64, key string) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	v, recs, err := s.deleteLocked(key)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return v, nil
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		return s.deleteLocked(key)
+	})
 }
 
-// DeleteBatchF is DeleteBatch under the partition fence, returning the
-// highest tombstone version assigned. Every key — present or missing —
-// consumes one version in sorted key order, so the caller can reconstruct
-// each key's tombstone version from the returned high-water mark exactly as
-// PutBatch callers do.
+// DeleteBatchF removes every key in one charged write under the partition
+// fence, returning the highest tombstone version assigned. Missing keys are
+// ignored (callers prune superseded entries, and a concurrent pruner is not
+// a protocol error), but every key — present or missing — consumes one
+// version in sorted key order, so the caller can reconstruct each key's
+// tombstone version from the returned high-water mark exactly as PutBatchF
+// callers do.
 func (s *Store) DeleteBatchF(part int, epoch uint64, keys []string) (uint64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs := s.deleteBatchLocked(keys)
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
+	return s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		last, recs := s.deleteBatchLocked(keys)
+		return last, recs, nil
+	})
 }
 
 // Apply installs a replicated commit on a follower. The commit carries the
@@ -633,42 +450,35 @@ func (s *Store) DeleteBatchF(part int, epoch uint64, keys []string) (uint64, err
 // high-water mark, so replayed or reordered commits converge to the
 // primary's order.
 func (s *Store) Apply(part int, epoch uint64, c Commit) error {
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	recs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return err
-	}
-	for _, kv := range c.Sets {
-		if kv.Ver <= s.applied[kv.Key] {
-			continue
+	_, err := s.fencedWrite(part, epoch, func() (uint64, []jrec, error) {
+		var recs []jrec
+		for _, kv := range c.Sets {
+			if kv.Ver <= s.applied[kv.Key] {
+				continue
+			}
+			s.applied[kv.Key] = kv.Ver
+			stored := make([]byte, len(kv.Val))
+			copy(stored, kv.Val)
+			s.data[kv.Key] = entry{value: stored, version: kv.Ver}
+			recs = append(recs, jrec{Op: jSet, Key: kv.Key, Val: stored, Ver: kv.Ver})
+			if kv.Ver >= s.next {
+				s.next = kv.Ver + 1
+			}
 		}
-		s.applied[kv.Key] = kv.Ver
-		stored := make([]byte, len(kv.Val))
-		copy(stored, kv.Val)
-		s.data[kv.Key] = entry{value: stored, version: kv.Ver}
-		recs = append(recs, jrec{Op: jSet, Key: kv.Key, Val: stored, Ver: kv.Ver})
-		if kv.Ver >= s.next {
-			s.next = kv.Ver + 1
+		for _, kd := range c.Dels {
+			if kd.Ver <= s.applied[kd.Key] {
+				continue
+			}
+			s.applied[kd.Key] = kd.Ver
+			delete(s.data, kd.Key)
+			recs = append(recs, jrec{Op: jDel, Key: kd.Key, Ver: kd.Ver})
+			if kd.Ver >= s.next {
+				s.next = kd.Ver + 1
+			}
 		}
-	}
-	for _, kd := range c.Dels {
-		if kd.Ver <= s.applied[kd.Key] {
-			continue
-		}
-		s.applied[kd.Key] = kd.Ver
-		delete(s.data, kd.Key)
-		recs = append(recs, jrec{Op: jDel, Key: kd.Key, Ver: kd.Ver})
-		if kd.Ver >= s.next {
-			s.next = kd.Ver + 1
-		}
-	}
-	return s.commitLocked(recs)
+		return 0, recs, nil
+	})
+	return err
 }
 
 // Promote advances partition part's fence epoch to epoch. It is a pure fence

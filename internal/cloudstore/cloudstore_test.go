@@ -8,7 +8,7 @@ import (
 )
 
 func TestPutGet(t *testing.T) {
-	s := New()
+	s := one(New())
 	v1, err := s.Put("a", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -23,14 +23,14 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	s := New()
+	s := one(New())
 	if _, _, err := s.Get("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v; want ErrNotFound", err)
 	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {
-	s := New()
+	s := one(New())
 	_, _ = s.Put("a", []byte("abc"))
 	val, _, _ := s.Get("a")
 	val[0] = 'Z'
@@ -41,7 +41,7 @@ func TestGetReturnsCopy(t *testing.T) {
 }
 
 func TestVersionsMonotonic(t *testing.T) {
-	s := New()
+	s := one(New())
 	v1, _ := s.Put("a", nil)
 	v2, _ := s.Put("a", nil)
 	v3, _ := s.Put("b", nil)
@@ -51,7 +51,7 @@ func TestVersionsMonotonic(t *testing.T) {
 }
 
 func TestCASCreate(t *testing.T) {
-	s := New()
+	s := one(New())
 	if _, err := s.CAS("a", 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestCASCreate(t *testing.T) {
 }
 
 func TestCASUpdate(t *testing.T) {
-	s := New()
+	s := one(New())
 	v1, _ := s.Put("a", []byte("x"))
 	v2, err := s.CAS("a", v1, []byte("y"))
 	if err != nil {
@@ -77,7 +77,7 @@ func TestCASUpdate(t *testing.T) {
 }
 
 func TestCASOnlyOneWinner(t *testing.T) {
-	s := New()
+	s := one(New())
 	v0, _ := s.Put("a", []byte("0"))
 	var wins, losses int
 	var mu sync.Mutex
@@ -103,7 +103,7 @@ func TestCASOnlyOneWinner(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := New()
+	s := one(New())
 	_, _ = s.Put("a", nil)
 	if err := s.Delete("a"); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestList(t *testing.T) {
-	s := New()
+	s := one(New())
 	_, _ = s.Put("map/1", nil)
 	_, _ = s.Put("map/2", nil)
 	_, _ = s.Put("wal/1", nil)
@@ -132,23 +132,24 @@ func TestList(t *testing.T) {
 }
 
 func TestFailRecover(t *testing.T) {
-	s := New()
+	st := New()
+	s := one(st)
 	_, _ = s.Put("a", nil)
-	s.Fail()
+	st.Fail()
 	if _, _, err := s.Get("a"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v; want ErrUnavailable", err)
 	}
 	if _, err := s.Put("b", nil); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v; want ErrUnavailable", err)
 	}
-	s.Recover()
+	st.Recover()
 	if _, _, err := s.Get("a"); err != nil {
 		t.Fatalf("after recover: %v", err)
 	}
 }
 
 func TestLatencyCharged(t *testing.T) {
-	s := New(WithLatency(10 * time.Millisecond))
+	s := one(New(WithLatency(10 * time.Millisecond)))
 	start := time.Now()
 	_, _ = s.Put("a", nil)
 	if el := time.Since(start); el < 9*time.Millisecond {
@@ -157,18 +158,20 @@ func TestLatencyCharged(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := New()
+	st := New()
+	s := one(st)
 	_, _ = s.Put("a", nil)
 	_, _, _ = s.Get("a")
 	_, _, _ = s.Get("a")
-	r, w := s.Stats()
+	r, w := st.Stats()
 	if r != 2 || w != 1 {
 		t.Fatalf("reads=%d writes=%d; want 2/1", r, w)
 	}
 }
 
 func TestPutBatchOneRoundTrip(t *testing.T) {
-	s := New(WithLatency(10 * time.Millisecond))
+	st := New(WithLatency(10 * time.Millisecond))
+	s := one(st)
 	entries := map[string][]byte{
 		"map/1": []byte("10"),
 		"map/2": []byte("20"),
@@ -183,7 +186,7 @@ func TestPutBatchOneRoundTrip(t *testing.T) {
 	if el := time.Since(start); el > 25*time.Millisecond {
 		t.Fatalf("PutBatch took %v; want ~one 10ms round trip", el)
 	}
-	_, w := s.Stats()
+	_, w := st.Stats()
 	if w != 1 {
 		t.Fatalf("writes = %d; want 1 (one batched RPC)", w)
 	}
@@ -206,7 +209,7 @@ func TestPutBatchOneRoundTrip(t *testing.T) {
 	if _, err := s.PutBatch(nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	s.Fail()
+	st.Fail()
 	if _, err := s.PutBatch(entries); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v; want ErrUnavailable while failed", err)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Partitioned is a sharded cloud-store client: it routes every operation to
-// the partition owning the key and implements API, so the eManager, the
-// replication log, and the migration engine shard transparently.
+// the Replicated client of the partition owning the key and implements API,
+// so the eManager, the replication log, and the migration engine shard
+// transparently.
 //
 // Routing hashes the key's *prefix group* — the key up to its last '/' (the
 // whole key when it has none) — so each key family lands wholly on one
@@ -18,7 +19,7 @@ import (
 // Cross-partition batches are therefore rare, but still correct (see
 // CreateBatch for the rollback discipline).
 type Partitioned struct {
-	parts []API
+	parts []*Replicated
 }
 
 var _ API = (*Partitioned)(nil)
@@ -26,7 +27,7 @@ var _ API = (*Partitioned)(nil)
 // NewPartitioned returns a client routing over the given partitions in
 // order. Partition count is a deployment-time constant: every client must be
 // constructed with the same list or keys route inconsistently.
-func NewPartitioned(parts ...API) *Partitioned {
+func NewPartitioned(parts ...*Replicated) *Partitioned {
 	if len(parts) == 0 {
 		panic("cloudstore: NewPartitioned needs at least one partition")
 	}
@@ -37,8 +38,8 @@ func NewPartitioned(parts ...API) *Partitioned {
 func (p *Partitioned) Parts() int { return len(p.parts) }
 
 // Partition returns the client serving partition i (the ops plane uses it
-// to reach each partition's Replicated view).
-func (p *Partitioned) Partition(i int) API { return p.parts[i] }
+// to reach each partition's view).
+func (p *Partitioned) Partition(i int) *Replicated { return p.parts[i] }
 
 // PartitionOf reports which partition owns key.
 func (p *Partitioned) PartitionOf(key string) int {
@@ -84,14 +85,8 @@ func (p *Partitioned) group(keys []string) map[int][]string {
 	return out
 }
 
-// PutBatch routes each entry to its partition. Atomicity holds per
-// partition; versions are per-partition sequences, so the returned version
-// is the highest assigned and only meaningful for single-partition batches
-// (which prefix-group routing makes the common case).
-func (p *Partitioned) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
+// split divides a batch of entries by owning partition.
+func (p *Partitioned) split(entries map[string][]byte) map[int]map[string][]byte {
 	sub := make(map[int]map[string][]byte)
 	for k, v := range entries {
 		i := p.PartitionOf(k)
@@ -100,8 +95,20 @@ func (p *Partitioned) PutBatch(entries map[string][]byte) (uint64, error) {
 		}
 		sub[i][k] = v
 	}
+	return sub
+}
+
+// PutBatch routes each entry to its partition. Atomicity holds per
+// partition; versions are per-partition sequences, so the returned version
+// is the highest assigned and only meaningful for single-partition batches
+// (which prefix-group routing makes the common case).
+func (p *Partitioned) PutBatch(entries map[string][]byte) (uint64, error) {
+	if len(entries) == 0 {
+		return 0, nil
+	}
+	sub := p.split(entries)
 	var last uint64
-	for _, i := range sortedParts(sub) {
+	for _, i := range sortedKeys(sub) {
 		v, err := p.parts[i].PutBatch(sub[i])
 		if err != nil {
 			return 0, err
@@ -129,15 +136,8 @@ func (p *Partitioned) CreateBatch(entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	sub := make(map[int]map[string][]byte)
-	for k, v := range entries {
-		i := p.PartitionOf(k)
-		if sub[i] == nil {
-			sub[i] = make(map[string][]byte)
-		}
-		sub[i][k] = v
-	}
-	order := sortedParts(sub)
+	sub := p.split(entries)
+	order := sortedKeys(sub)
 	var last uint64
 	for n, i := range order {
 		v, err := p.parts[i].CreateBatch(sub[i])
@@ -146,11 +146,7 @@ func (p *Partitioned) CreateBatch(entries map[string][]byte) (uint64, error) {
 			// from a clean slate. Best-effort: a partition that died mid-
 			// rollback leaves orphans for the caller's retry to collide on.
 			for _, j := range order[:n] {
-				created := make([]string, 0, len(sub[j]))
-				for k := range sub[j] {
-					created = append(created, k)
-				}
-				_ = p.parts[j].DeleteBatch(created)
+				_ = p.parts[j].DeleteBatch(sortedKeys(sub[j]))
 			}
 			return 0, err
 		}
@@ -167,7 +163,7 @@ func (p *Partitioned) DeleteBatch(keys []string) error {
 		return nil
 	}
 	grouped := p.group(keys)
-	for _, i := range sortedPartsS(grouped) {
+	for _, i := range sortedKeys(grouped) {
 		if err := p.parts[i].DeleteBatch(grouped[i]); err != nil {
 			return err
 		}
@@ -187,22 +183,4 @@ func (p *Partitioned) List(prefix string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func sortedParts(m map[int]map[string][]byte) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedPartsS(m map[int][]string) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }

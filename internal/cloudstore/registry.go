@@ -7,9 +7,9 @@ import (
 	"sync"
 )
 
-// Backend is what a store-server process hosts: a full replica surface plus
-// resource teardown. The in-memory Store and the disk-journaled DiskStore
-// both implement it; external KV adapters register the same way.
+// Backend is what a store-server process hosts: the fenced replica surface
+// plus resource teardown. The in-memory Store and the disk-journaled
+// DiskStore both implement it; external KV adapters register the same way.
 type Backend interface {
 	ReplicaAPI
 	Close() error

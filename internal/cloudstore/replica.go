@@ -3,23 +3,22 @@ package cloudstore
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// ReplicaAPI is the surface a store replica exposes: the plain client API
-// plus the fenced per-operation surface and the replication/fencing
-// operations a replicated client needs. Store implements it in-memory;
-// node.RemoteStore implements it over the mesh so replicas can live in
-// dedicated store-server processes.
+// ReplicaAPI is the only surface a store replica exposes: the fenced
+// per-operation surface and the replication/fencing operations Replicated
+// needs. Store and DiskStore implement it; node.RemoteStore implements it
+// over the mesh so replicas can live in dedicated store-server processes.
+// Clients never call it directly — they go through Replicated.
 type ReplicaAPI interface {
-	API
-	// Fenced ops: every operation of a replicated deployment carries the
-	// partition and the fence epoch of the caller's view. A replica that
-	// has accepted a newer epoch refuses with ErrFenced, so writes *and
-	// reads* addressed to a deposed primary fail instead of silently
-	// executing against (or serving) a stale view. Fenced writes raise the
+	// Fenced ops: every operation carries the partition and the fence
+	// epoch of the caller's view. A replica that has accepted a newer
+	// epoch refuses with ErrFenced, so writes *and reads* addressed to a
+	// deposed primary fail instead of silently executing against (or
+	// serving) a stale view. Fenced writes raise the
 	// replica's accepted epoch — durably, on journaling backends — when
 	// they carry a newer one; fenced reads never mutate the fence.
 	GetF(part int, epoch uint64, key string) ([]byte, uint64, error)
@@ -42,6 +41,17 @@ type ReplicaAPI interface {
 	Promote(part int, epoch uint64) (uint64, error)
 	// FenceEpoch reports the highest fence epoch accepted for the partition.
 	FenceEpoch(part int) (uint64, error)
+}
+
+// ReplicaKeys lists one replica's keys under prefix at the fence epoch the
+// replica itself holds for partition part: an inspection read of that one
+// replica, bypassing any client's view, that passes the fence gate.
+func ReplicaKeys(r ReplicaAPI, part int, prefix string) ([]string, error) {
+	e, err := r.FenceEpoch(part)
+	if err != nil {
+		return nil, err
+	}
+	return r.ListF(part, e, prefix)
 }
 
 // KV is one replicated set: the value and the version the primary assigned.
@@ -94,6 +104,10 @@ const maxFailovers = 4
 // that can reach only a stale primary) gets ErrUnavailable instead of a
 // degraded ack. A 2-replica set therefore cannot fail over — deployments
 // that need to survive a replica loss run 3 replicas per partition.
+//
+// A one-replica set (a single store) has no other replica to fence: it never
+// promotes or bumps the epoch, and a replica error reaches the caller after
+// that one store call, exactly as if it had called the replica directly.
 //
 // Known limits (resync/anti-entropy is future work): a replica that missed
 // commits while unreachable is not re-synced when it returns — the fence
@@ -268,7 +282,10 @@ func (r *Replicated) do(op func(p ReplicaAPI, primaryIdx int, epoch uint64) erro
 			// (ErrUnavailable or a transport error): fence the next epoch
 			// onto the surviving replicas. If no majority is reachable the
 			// failover refuses too and the error surfaces — never a
-			// degraded ack.
+			// degraded ack. A lone replica has no survivor to fail over to.
+			if len(r.replicas) == 1 {
+				return err
+			}
 			if ferr := r.failoverFrom(e); ferr != nil {
 				return err
 			}
@@ -356,21 +373,33 @@ func (r *Replicated) Put(key string, value []byte) (uint64, error) {
 	return ver, nil
 }
 
-// batchSets reconstructs the per-key versions of a batch write: the store
-// assigns contiguous versions in sorted key order under its lock, so the
-// returned high-water version determines every key's version.
+// batchVersion reconstructs the version of the i-th key (in sorted order) of
+// an n-key batch write or delete: the store assigns contiguous versions in
+// sorted key order under its lock, so the returned high-water version last
+// determines every key's version.
+func batchVersion(last uint64, n, i int) uint64 {
+	return last - uint64(n) + 1 + uint64(i)
+}
+
+// batchSets rebuilds the replicated sets of a batch write.
 func batchSets(entries map[string][]byte, last uint64) []KV {
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := uint64(len(keys))
+	keys := sortedKeys(entries)
 	sets := make([]KV, len(keys))
 	for i, k := range keys {
-		sets[i] = KV{Key: k, Val: entries[k], Ver: last - n + 1 + uint64(i)}
+		sets[i] = KV{Key: k, Val: entries[k], Ver: batchVersion(last, len(keys), i)}
 	}
 	return sets
+}
+
+// batchDels rebuilds the replicated tombstones of a batch delete.
+func batchDels(keys []string, last uint64) []KD {
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
+	dels := make([]KD, len(sorted))
+	for i, k := range sorted {
+		dels[i] = KD{Key: k, Ver: batchVersion(last, len(sorted), i)}
+	}
+	return dels
 }
 
 // PutBatch writes through the primary and replicates to a majority before
@@ -459,13 +488,6 @@ func (r *Replicated) DeleteBatch(keys []string) error {
 		if err != nil {
 			return err
 		}
-		sorted := append([]string(nil), keys...)
-		sort.Strings(sorted)
-		n := uint64(len(sorted))
-		dels := make([]KD, len(sorted))
-		for i, k := range sorted {
-			dels[i] = KD{Key: k, Ver: last - n + 1 + uint64(i)}
-		}
-		return r.commit(epoch, pi, Commit{Dels: dels})
+		return r.commit(epoch, pi, Commit{Dels: batchDels(keys, last)})
 	})
 }

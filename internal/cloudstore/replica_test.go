@@ -15,7 +15,7 @@ import (
 // key is missing, while the error still unwraps to ErrVersionMismatch so
 // Retry semantics are unchanged.
 func TestCASMissingKeyDistinctFromConflict(t *testing.T) {
-	s := New()
+	s := one(New())
 	_, err := s.CAS("ghost", 7, []byte("x"))
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("err = %v; want ErrVersionMismatch", err)
@@ -65,11 +65,11 @@ func TestReplicatedWritesReachFollower(t *testing.T) {
 	// The follower must hold exactly the primary's surviving state, with the
 	// primary's versions.
 	for _, key := range []string{"map/1", "map/2"} {
-		pv, pver, err := prim.Get(key)
+		pv, pver, err := peek(prim, key)
 		if err != nil {
 			t.Fatalf("primary %s: %v", key, err)
 		}
-		fv, fver, err := fol.Get(key)
+		fv, fver, err := peek(fol, key)
 		if err != nil {
 			t.Fatalf("follower %s: %v", key, err)
 		}
@@ -78,7 +78,7 @@ func TestReplicatedWritesReachFollower(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"map/3", "map/4"} {
-		if _, _, err := fol.Get(key); !errors.Is(err, ErrNotFound) {
+		if _, _, err := peek(fol, key); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("follower still has deleted %s (err=%v)", key, err)
 		}
 	}
@@ -117,13 +117,13 @@ func TestReplicatedFailover(t *testing.T) {
 	if e, p := r.View(); e != 2 || p != 1 {
 		t.Fatalf("view = epoch %d primary %d; want epoch 2 primary 1", e, p)
 	}
-	got, ver, err := fol.Get("wal/x")
+	got, ver, err := peek(fol, "wal/x")
 	if err != nil || string(got) != "after" || ver != v {
 		t.Fatalf("promoted follower has %q v%d (err=%v); want after v%d", got, ver, err, v)
 	}
 	// The post-failover write reached a majority: the surviving follower
 	// holds it too.
-	got3, _, err := fol2.Get("wal/x")
+	got3, _, err := peek(fol2, "wal/x")
 	if err != nil || string(got3) != "after" {
 		t.Fatalf("surviving follower has %q (err=%v); want after", got3, err)
 	}
@@ -148,7 +148,7 @@ func TestReplicatedNoAckWithoutFollowerQuorum(t *testing.T) {
 	if _, err := r.Put("q/a", []byte("v")); err != nil {
 		t.Fatalf("write with 2/3 replicas up: %v", err)
 	}
-	if got, _, err := f1.Get("q/a"); err != nil || string(got) != "v" {
+	if got, _, err := peek(f1, "q/a"); err != nil || string(got) != "v" {
 		t.Fatalf("surviving follower has %q (err=%v); want v", got, err)
 	}
 
@@ -167,7 +167,7 @@ func TestReplicatedNoAckWithoutFollowerQuorum(t *testing.T) {
 // and promotions move it.
 func TestFencedReadsRefuseStaleEpoch(t *testing.T) {
 	s := New()
-	if _, err := s.Put("k", []byte("v")); err != nil {
+	if _, err := s.PutF(0, 1, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Promote(0, 3); err != nil {
@@ -216,7 +216,7 @@ func TestReplicatedStalePrimaryIsFenced(t *testing.T) {
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale apply err = %v; want ErrFenced", err)
 	}
-	if got, _, _ := fol.Get("map/1"); string(got) != "fresh" {
+	if got, _, _ := peek(fol, "map/1"); string(got) != "fresh" {
 		t.Fatalf("fenced apply mutated the follower: %q", got)
 	}
 
@@ -228,7 +228,7 @@ func TestReplicatedStalePrimaryIsFenced(t *testing.T) {
 	if e, p := stale.View(); e != 2 || p != 1 {
 		t.Fatalf("stale client stuck at epoch %d primary %d", e, p)
 	}
-	got, _, err := fol.Get("map/1")
+	got, _, err := peek(fol, "map/1")
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("new primary has %q (err=%v); want v2", got, err)
 	}
@@ -271,7 +271,7 @@ func TestReplicatedApplyIdempotentAndOrdered(t *testing.T) {
 	if err := fol.Apply(0, 1, c1); err != nil {
 		t.Fatal(err)
 	}
-	got, ver, err := fol.Get("a")
+	got, ver, err := peek(fol, "a")
 	if err != nil || string(got) != "new" || ver != 10 {
 		t.Fatalf("follower a = %q v%d (err=%v); want new v10", got, ver, err)
 	}
@@ -279,11 +279,11 @@ func TestReplicatedApplyIdempotentAndOrdered(t *testing.T) {
 	if err := fol.Apply(0, 1, Commit{Dels: []KD{{Key: "a", Ver: 11}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fol.Get("a"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := peek(fol, "a"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete did not apply: %v", err)
 	}
 	// Fresh versions on the follower must allocate above applied versions.
-	v, _ := fol.Put("b", nil)
+	v, _ := fol.PutF(0, 1, "b", nil)
 	if v <= 11 {
 		t.Fatalf("follower allocated v%d under the applied high-water 11", v)
 	}
@@ -326,7 +326,7 @@ func TestReplicatedConcurrentClientsConvergeThroughFailover(t *testing.T) {
 	}
 	// Every client's final value must be on the promoted follower.
 	for c := 0; c < clients; c++ {
-		got, _, err := fol.Get(fmt.Sprintf("k/%d", c))
+		got, _, err := peek(fol, fmt.Sprintf("k/%d", c))
 		if err != nil || string(got) != fmt.Sprintf("%d", rounds-1) {
 			t.Fatalf("client %d final = %q (err=%v)", c, got, err)
 		}
@@ -334,8 +334,7 @@ func TestReplicatedConcurrentClientsConvergeThroughFailover(t *testing.T) {
 }
 
 func TestPartitionedRoutesPrefixGroupsTogether(t *testing.T) {
-	a, b := New(), New()
-	p := NewPartitioned(a, b)
+	p := NewPartitioned(NewReplicated(0, New()), NewReplicated(1, New()))
 	// All members of one prefix group land on one partition.
 	first := p.PartitionOf("replog/rec/00000000000000000001")
 	for i := 2; i < 40; i++ {
@@ -356,8 +355,7 @@ func TestPartitionedRoutesPrefixGroupsTogether(t *testing.T) {
 }
 
 func TestPartitionedOpsAndListMerge(t *testing.T) {
-	a, b := New(), New()
-	p := NewPartitioned(a, b)
+	p := NewPartitioned(NewReplicated(0, New()), NewReplicated(1, New()))
 	keys := []string{"map/1", "snapshot/9/3", "replog/rec/5", "wal/migration/2"}
 	for _, k := range keys {
 		if _, err := p.Put(k, []byte(k)); err != nil {
@@ -383,16 +381,15 @@ func TestPartitionedOpsAndListMerge(t *testing.T) {
 		}
 	}
 	// Data is actually sharded, not mirrored.
-	ra, _ := a.List("")
-	rb, _ := b.List("")
+	ra, _ := p.Partition(0).List("")
+	rb, _ := p.Partition(1).List("")
 	if len(ra) == 0 || len(rb) == 0 || len(ra)+len(rb) != len(keys) {
 		t.Fatalf("shards hold %d + %d keys; want a real split of %d", len(ra), len(rb), len(keys))
 	}
 }
 
 func TestPartitionedCreateBatchRollsBackOnCollision(t *testing.T) {
-	a, b := New(), New()
-	p := NewPartitioned(a, b)
+	p := NewPartitioned(NewReplicated(0, New()), NewReplicated(1, New()))
 	// Find two keys on different partitions.
 	k0, k1 := "map/1", ""
 	for i := 2; i < 100; i++ {
@@ -431,7 +428,7 @@ func TestBackendRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := be.Put("k", nil); err != nil {
+	if _, err := one(be).Put("k", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := be.Close(); err != nil {
@@ -463,14 +460,15 @@ func TestDiskBackendReplaysJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := d.Put("map/1", []byte("a"))
+	c := one(d)
+	v1, err := c.Put("map/1", []byte("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.PutBatch(map[string][]byte{"map/2": []byte("b"), "map/3": []byte("c")}); err != nil {
+	if _, err := c.PutBatch(map[string][]byte{"map/2": []byte("b"), "map/3": []byte("c")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Delete("map/3"); err != nil {
+	if err := c.Delete("map/3"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Promote(4, 7); err != nil {
@@ -488,11 +486,11 @@ func TestDiskBackendReplaysJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	got, ver, err := re.Get("map/1")
+	got, ver, err := peek(re, "map/1")
 	if err != nil || string(got) != "a" || ver != v1 {
 		t.Fatalf("map/1 = %q v%d (err=%v); want a v%d", got, ver, err, v1)
 	}
-	if _, _, err := re.Get("map/3"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := peek(re, "map/3"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key survived restart: %v", err)
 	}
 	// The fence epoch survives restart — a restarted replica must keep
@@ -505,10 +503,10 @@ func TestDiskBackendReplaysJournal(t *testing.T) {
 	}
 	// Replicated applies survive too, and version allocation stays above
 	// the journal's high-water mark.
-	if got, ver, err := re.Get("map/9"); err != nil || string(got) != "r" || ver != 40 {
+	if got, ver, err := peek(re, "map/9"); err != nil || string(got) != "r" || ver != 40 {
 		t.Fatalf("map/9 = %q v%d (err=%v); want r v40", got, ver, err)
 	}
-	if v, _ := re.Put("map/new", nil); v <= 40 {
+	if v, _ := one(re).Put("map/new", nil); v <= 40 {
 		t.Fatalf("restart allocated v%d under journal high-water 40", v)
 	}
 }
@@ -551,7 +549,7 @@ func TestDiskBackendFenceEpochDoesNotInflateVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := d.Put("k", []byte("a"))
+	v, err := one(d).Put("k", []byte("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +564,8 @@ func TestDiskBackendFenceEpochDoesNotInflateVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	v2, err := re.Put("k2", nil)
+	// The client starts at epoch 1 and chases the replica's fence to 1000.
+	v2, err := one(re).Put("k2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +597,7 @@ func TestDiskFsyncBackendOpensAndReplays(t *testing.T) {
 	if !be.(*DiskStore).fsync {
 		t.Fatal("disk+fsync spec did not enable per-commit fsync")
 	}
-	if _, err := be.Put("map/1", []byte("a")); err != nil {
+	if _, err := one(be).Put("map/1", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := be.Promote(2, 5); err != nil {
@@ -612,10 +611,67 @@ func TestDiskFsyncBackendOpensAndReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got, _, err := re.Get("map/1"); err != nil || string(got) != "a" {
+	if got, _, err := peek(re, "map/1"); err != nil || string(got) != "a" {
 		t.Fatalf("map/1 = %q err=%v; want a", got, err)
 	}
 	if e, _ := re.FenceEpoch(2); e != 5 {
 		t.Fatalf("fence after restart = %d; want 5", e)
+	}
+}
+
+// countingReplica counts the data reads and promotions a client sends to
+// the replica it wraps; failOps makes every GetF fail ErrUnavailable while
+// the replica itself stays healthy.
+type countingReplica struct {
+	ReplicaAPI
+	gets, promotes int
+	failOps        bool
+}
+
+func (c *countingReplica) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
+	c.gets++
+	if c.failOps {
+		return nil, 0, ErrUnavailable
+	}
+	return c.ReplicaAPI.GetF(part, epoch, key)
+}
+
+func (c *countingReplica) Promote(part int, epoch uint64) (uint64, error) {
+	c.promotes++
+	return c.ReplicaAPI.Promote(part, epoch)
+}
+
+// A single store is a one-replica set with nobody to fail over to: a replica
+// error reaches the caller after that one store call, without a Promote or
+// an epoch bump — whether the store itself is down or only the op failed
+// (as a transport error would) and a Promote would have gone through.
+func TestReplicatedOneReplicaNeverFailsOver(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		storeDown bool
+	}{{"store-failed", true}, {"op-failed", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := New()
+			rep := &countingReplica{ReplicaAPI: st, failOps: !tc.storeDown}
+			r := NewReplicated(0, rep)
+			if tc.storeDown {
+				st.Fail()
+			}
+			if _, _, err := r.Get("k"); !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("Get err = %v; want ErrUnavailable", err)
+			}
+			if rep.gets != 1 || rep.promotes != 0 {
+				t.Fatalf("client sent %d reads and %d promotes; want 1 read, 0 promotes", rep.gets, rep.promotes)
+			}
+			if _, w := st.Stats(); w != 0 {
+				t.Fatalf("store charged %d writes; a one-replica set must not write a fence", w)
+			}
+			if e, p := r.View(); e != 1 || p != 0 {
+				t.Fatalf("view moved to epoch %d primary %d", e, p)
+			}
+			if n := r.FenceAdvances(); n != 0 {
+				t.Fatalf("FenceAdvances = %d; want 0", n)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // double-claims, and the key's final value must equal the total append
 // count.
 func TestCASContentionThroughHeadKey(t *testing.T) {
-	s := New()
+	s := one(New())
 	const head = "replog/head"
 	const goroutines, each = 8, 25
 

@@ -67,7 +67,7 @@ func TestCheckpointServerBatchesStoreWrites(t *testing.T) {
 		}
 	}
 	victim := f.rt.Cluster().Servers()[0].ID()
-	_, before := f.store.Stats()
+	_, before := f.st.Stats()
 	n, err := f.mgr.CheckpointServer(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestCheckpointServerBatchesStoreWrites(t *testing.T) {
 	if n == 0 {
 		t.Fatal("checkpoint captured nothing")
 	}
-	_, after := f.store.Stats()
+	_, after := f.st.Stats()
 	if got := after - before; got != 1 {
 		t.Fatalf("checkpoint sweep charged %d store writes, want 1 (batched)", got)
 	}
@@ -95,7 +95,7 @@ func TestCheckpointServerBatchesStoreWrites(t *testing.T) {
 	if len(keys) != len(f.rooms) {
 		t.Fatalf("snapshot keyspace has %d keys after 4 sweeps, want %d (pruned)", len(keys), len(f.rooms))
 	}
-	_, afterSweeps := f.store.Stats()
+	_, afterSweeps := f.st.Stats()
 	if got := afterSweeps - after; got != 3*2 {
 		t.Fatalf("3 pruning sweeps charged %d writes, want 6 (batch+prune each)", got)
 	}

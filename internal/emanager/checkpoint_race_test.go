@@ -54,7 +54,7 @@ func TestCheckpointServerSurvivesConcurrentSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	inner := cloudstore.New()
+	inner := cloudstore.NewReplicated(0, cloudstore.New())
 	store := &contentiousStore{API: inner, t: t}
 	cfg := DefaultConfig()
 	cfg.Delta = time.Millisecond
@@ -106,7 +106,7 @@ func TestCheckpointServerSurvivesConcurrentSweep(t *testing.T) {
 // on: any existing key fails the whole batch with ErrVersionMismatch and
 // nothing is written.
 func TestCreateBatchAtomicCreateOnly(t *testing.T) {
-	s := cloudstore.New()
+	s := cloudstore.NewReplicated(0, cloudstore.New())
 	if _, err := s.Put("a", []byte("old")); err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,9 @@ type Manager struct {
 	done chan struct{}
 }
 
-// New creates a manager for a runtime, journaling into store — the local
-// in-memory store, or (on a non-store node of a multi-process deployment) a
-// RemoteStore reaching the authoritative one over the transport mesh.
+// New creates a manager for a runtime, journaling into store — a
+// cloudstore.Replicated or Partitioned client, whose replicas are local
+// stores or RemoteStores reaching the store plane over the transport mesh.
 func New(rt *core.Runtime, store cloudstore.API, cfg Config) *Manager {
 	if cfg.PollInterval == 0 {
 		cfg.PollInterval = 250 * time.Millisecond

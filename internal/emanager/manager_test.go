@@ -49,7 +49,8 @@ func testSchema(t *testing.T) *schema.Schema {
 type fixture struct {
 	rt    *core.Runtime
 	mgr   *Manager
-	store *cloudstore.Store
+	store *cloudstore.Replicated
+	st    *cloudstore.Store // the store's one replica (Stats)
 	rooms []ownership.ID
 }
 
@@ -65,12 +66,13 @@ func newFixture(t *testing.T, nServers, nRooms int) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	store := cloudstore.New()
+	st := cloudstore.New()
+	store := cloudstore.NewReplicated(0, st)
 	cfg := DefaultConfig()
 	cfg.Delta = time.Millisecond
 	cfg.ProtocolWork = 0
 	mgr := New(rt, store, cfg)
-	f := &fixture{rt: rt, mgr: mgr, store: store}
+	f := &fixture{rt: rt, mgr: mgr, store: store, st: st}
 	servers := cl.Servers()
 	for i := 0; i < nRooms; i++ {
 		id, err := rt.CreateContextOn(servers[i%len(servers)].ID(), "Room")
@@ -564,7 +566,7 @@ func TestSnapshotSkipsNilCheckpoint(t *testing.T) {
 	cl.AddServer(cluster.M3Large)
 	rt, _ := core.New(s, ownership.NewGraph(), cl, core.Config{})
 	defer rt.Close()
-	mgr := New(rt, cloudstore.New(), DefaultConfig())
+	mgr := New(rt, cloudstore.NewReplicated(0, cloudstore.New()), DefaultConfig())
 	id, _ := rt.CreateContext("Ephemeral")
 	_, n, err := mgr.Snapshot(id)
 	if err != nil {
@@ -606,7 +608,7 @@ func TestSnapshotIsConsistentUnderLoad(t *testing.T) {
 	rt, _ := core.New(s, ownership.NewGraph(), cl, core.Config{AcquireTimeout: 10 * time.Second})
 	defer rt.Close()
 	RegisterSnapshotType(&counterState{})
-	mgr := New(rt, cloudstore.New(), DefaultConfig())
+	mgr := New(rt, cloudstore.NewReplicated(0, cloudstore.New()), DefaultConfig())
 
 	pairID, _ := rt.CreateContext("Pair")
 	h1, _ := rt.CreateContext("Half", pairID)

@@ -47,7 +47,8 @@ func testSchema(t *testing.T) *schema.Schema {
 
 type fixture struct {
 	rt     *core.Runtime
-	store  *cloudstore.Store
+	store  *cloudstore.Replicated
+	st     *cloudstore.Store // the store's one replica (Stats)
 	engine *Engine
 }
 
@@ -63,9 +64,10 @@ func newFixture(t *testing.T, nServers int) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	store := cloudstore.New()
+	st := cloudstore.New()
+	store := cloudstore.NewReplicated(0, st)
 	engine := NewEngine(rt, store, Config{Delta: time.Millisecond})
-	return &fixture{rt: rt, store: store, engine: engine}
+	return &fixture{rt: rt, store: store, st: st, engine: engine}
 }
 
 // group creates a Room with n Items on the given server and returns the
@@ -100,11 +102,11 @@ func TestGroupMigrationOneProtocolRound(t *testing.T) {
 		f := newFixture(t, 2)
 		root, members := f.group(t, f.server(t, 0), size)
 
-		_, w0 := f.store.Stats()
+		_, w0 := f.st.Stats()
 		if err := f.engine.MigrateGroup(root, f.server(t, 1)); err != nil {
 			t.Fatal(err)
 		}
-		_, w1 := f.store.Stats()
+		_, w1 := f.st.Stats()
 
 		for _, id := range members {
 			if srv, _ := f.rt.Directory().Locate(id); srv != f.server(t, 1) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/cloudstore"
 	"aeon/internal/transport"
 )
 
@@ -177,7 +178,7 @@ func TestTransferSurvivesLostAck(t *testing.T) {
 		t.Fatalf("node2 balance = %v err=%v, want 1500", res, err)
 	}
 	// The journal cleared: the migration completed, it was not abandoned.
-	if keys, _ := d.Stores[1].List("wal/migration/"); len(keys) != 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[1], 0, "wal/migration/"); len(keys) != 0 {
 		t.Fatalf("migration WAL left behind: %v", keys)
 	}
 }
@@ -199,7 +200,7 @@ func TestFailureRecoveryRehostsFromCheckpointsAfterNodeCrash(t *testing.T) {
 	if _, err := n2.Manager().CheckpointServer(2); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	if keys, _ := d.Stores[0].List("snapshot/"); len(keys) == 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[0], 0, "snapshot/"); len(keys) == 0 {
 		t.Fatal("no checkpoints reached the authoritative store")
 	}
 
@@ -279,7 +280,7 @@ func TestTransferResidualConvergesViaWALRecovery(t *testing.T) {
 	if srv, _ := n2.Runtime().Directory().Locate(bank2); srv != 2 {
 		t.Fatalf("source should still claim the group in doubt, locates %v", srv)
 	}
-	if keys, _ := d.Stores[1].List("wal/migration/"); len(keys) == 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[1], 0, "wal/migration/"); len(keys) == 0 {
 		t.Fatal("aborted migration must leave its WAL entry pinned")
 	}
 
@@ -301,7 +302,7 @@ func TestTransferResidualConvergesViaWALRecovery(t *testing.T) {
 	if res, err := n2.Submit(acct, "balance"); err != nil || res.(int) != 1500 {
 		t.Fatalf("node2 balance = %v err=%v, want 1500", res, err)
 	}
-	if keys, _ := d.Stores[1].List("wal/migration/"); len(keys) != 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[1], 0, "wal/migration/"); len(keys) != 0 {
 		t.Fatalf("migration WAL left behind after recovery: %v", keys)
 	}
 }

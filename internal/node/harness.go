@@ -27,8 +27,9 @@ type Topology struct {
 	Nodes int
 	// Profile is the server instance profile (default m3.large).
 	Profile cluster.Profile
-	// StoreNode serves the authoritative cloud store (default node 1).
-	// Ignored when StoreParts > 0.
+	// StoreNode serves the authoritative cloud store (default node 1) as
+	// the one replica of a one-partition store plane. Ignored when
+	// StoreParts > 0.
 	StoreNode transport.NodeID
 	// StoreParts, when > 0, deploys the sharded, replicated store plane
 	// instead of a store-serving node: each of the StoreParts partitions is
@@ -105,17 +106,13 @@ func (d *Deployment) StoreServerFor(id transport.NodeID) *StoreServer {
 	return nil
 }
 
-// storePartitions derives the StorePartition list the topology implies.
+// storePartitions derives the StorePartition list the topology implies: the
+// sharded plane with StoreParts, else StoreNode as a one-replica partition.
 func (top Topology) storePartitions() []StorePartition {
-	parts := make([]StorePartition, top.StoreParts)
-	for p := 0; p < top.StoreParts; p++ {
-		ids := make([]transport.NodeID, StoreRF)
-		for r := 0; r < StoreRF; r++ {
-			ids[r] = StoreIDBase + transport.NodeID(StoreRF*p+r+1)
-		}
-		parts[p] = StorePartition{Replicas: ids}
+	if top.StoreParts > 0 {
+		return StorePartitions(top.StoreParts)
 	}
-	return parts
+	return []StorePartition{{Replicas: []transport.NodeID{top.StoreNode}}}
 }
 
 // withDefaults fills the Topology defaults shared by Deploy and Restart —
@@ -150,8 +147,8 @@ func Deploy(mesh transport.Mesh, top Topology) (*Deployment, error) {
 	// Store servers come up before any node: nodes with Replicate catch up
 	// from the store during Start, so the plane must already be serving.
 	if top.StoreParts > 0 {
-		for p := 0; p < top.StoreParts; p++ {
-			for r := 0; r < StoreRF; r++ {
+		for p, sp := range StorePartitions(top.StoreParts) {
+			for r, id := range sp.Replicas {
 				spec := top.StoreBackend
 				if spec == "" {
 					spec = "memory"
@@ -163,7 +160,7 @@ func Deploy(mesh transport.Mesh, top Topology) (*Deployment, error) {
 					d.Close()
 					return nil, fmt.Errorf("store backend %q: %w", spec, err)
 				}
-				srv, err := ServeStore(mesh, StoreIDBase+transport.NodeID(StoreRF*p+r+1), be)
+				srv, err := ServeStore(mesh, id, be)
 				if err != nil {
 					be.Close()
 					d.Close()
@@ -232,11 +229,7 @@ func buildNode(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, *
 	cfg.ID = id
 	cfg.Runtime = rt
 	cfg.LocalStore = store
-	if top.StoreParts > 0 {
-		cfg.StoreReplicas = top.storePartitions()
-	} else {
-		cfg.StoreNode = top.StoreNode
-	}
+	cfg.StoreReplicas = top.storePartitions()
 	cfg.Manager = top.Manager
 	if top.EnableOps {
 		cfg.Ops = ops.NewRegistry(0)

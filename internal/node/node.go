@@ -19,8 +19,9 @@
 // snapshot; misses forward along the directory's answer as batch frames over
 // pipelined mux streams, stale callers pay the forwarding hop of § 5.2 and
 // repair their cache from the response), remote
-// cloud-store access (one node serves Get/Put/PutBatch/CAS/List to the
-// others, so every process journals into one authoritative store), and
+// cloud-store access (store replicas — a store-serving node or dedicated
+// store servers — answer fenced ops, so every process journals into one
+// authoritative store plane), and
 // migration state transfer (the engine's step IV ships serialized member
 // state to the destination node instead of relying on a shared registry).
 //
@@ -69,22 +70,20 @@ type Config struct {
 	// Servers lists the servers this process embodies. Empty means
 	// {ServerID(ID)}.
 	Servers []cluster.ServerID
-	// LocalStore is this process's in-memory cloud store. Required on the
-	// store node (it becomes the authoritative store every peer reaches
-	// over the mesh); ignored elsewhere unless StoreNode is zero.
+	// LocalStore is this process's in-memory store replica. Required when
+	// StoreReplicas names this node (it then serves that replica to every
+	// peer over the mesh); ignored otherwise.
 	LocalStore *cloudstore.Store
-	// StoreNode is the node serving the authoritative cloud store. Zero
-	// means this node uses its LocalStore directly (single-node or test
-	// deployments). Ignored when StoreReplicas is set.
-	StoreNode transport.NodeID
-	// StoreReplicas, when set, replaces the single-store deployment with the
-	// sharded, replicated store plane: partition i of the keyspace is served
-	// by StoreReplicas[i]'s replica set (primary first), each replica a mesh
-	// address — usually a dedicated store-server process (ServeStore), but a
-	// node's own ID works too and routes to its LocalStore. The node's store
-	// handle becomes a Partitioned client over per-partition Replicated
-	// clients with CAS-fenced failover. Every node of a deployment must be
-	// configured with the same partition list, in the same order.
+	// StoreReplicas lays out the store plane: partition i of the keyspace is
+	// served by StoreReplicas[i]'s replica set (primary first), each replica
+	// a mesh address — a dedicated store-server process (ServeStore), or a
+	// node's own ID, which routes to its LocalStore. The node's store handle
+	// is a Partitioned client over per-partition Replicated clients with
+	// CAS-fenced failover; a single store node is the one-partition,
+	// one-replica plane {{Replicas: {storeNode}}}. Empty means that plane
+	// with this node's own LocalStore as the replica. Every node of a
+	// deployment must be configured with the same partition list, in the
+	// same order.
 	StoreReplicas []StorePartition
 	// Manager configures the node's elasticity manager; its migration
 	// engine is wired to transfer state over the mesh automatically.
@@ -154,7 +153,7 @@ type Node struct {
 
 	ep    transport.Endpoint
 	mgr   *emanager.Manager
-	store cloudstore.API
+	store *cloudstore.Partitioned
 	plane *replication.Plane
 
 	// streams caches one pipelined mux stream per peer for submit forwards
@@ -186,8 +185,9 @@ type Node struct {
 }
 
 // Start attaches a node to the mesh: it wires the runtime's multi-process
-// hooks, builds the store handle (local on the store node, RemoteStore over
-// the mesh elsewhere), and creates the node's elasticity manager with
+// hooks, builds the store handle (a Partitioned client whose replicas are
+// the LocalStore where this node serves one, RemoteStore over the mesh
+// elsewhere), and creates the node's elasticity manager with
 // mesh-based migration state transfer. The node serves peer requests as
 // soon as Start returns.
 func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
@@ -227,40 +227,34 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 	// ping raced ahead must never reach an unconfigured manager, store, or
 	// runtime. Only the endpoint itself is pending when Attach runs, so the
 	// handler gates on `ready` until it is recorded.
-	if len(cfg.StoreReplicas) > 0 {
-		// Sharded, replicated store plane: one Replicated client per
-		// partition (failing over across its replica set), routed by a
-		// Partitioned client. A replica naming this node serves from
-		// LocalStore without a mesh hop.
-		parts := make([]cloudstore.API, 0, len(cfg.StoreReplicas))
-		for i, sp := range cfg.StoreReplicas {
-			if len(sp.Replicas) == 0 {
-				return nil, fmt.Errorf("node %v: store partition %d has no replicas", cfg.ID, i)
-			}
-			replicas := make([]cloudstore.ReplicaAPI, 0, len(sp.Replicas))
-			for _, rep := range sp.Replicas {
-				if rep == cfg.ID {
-					if cfg.LocalStore == nil {
-						return nil, fmt.Errorf("node %v: named as store replica but has no LocalStore", cfg.ID)
-					}
-					replicas = append(replicas, cfg.LocalStore)
-					n.servesStore = true
-					continue
-				}
-				replicas = append(replicas, &RemoteStore{node: n, to: rep})
-			}
-			parts = append(parts, cloudstore.NewReplicated(i, replicas...))
-		}
-		n.store = cloudstore.NewPartitioned(parts...)
-	} else if cfg.StoreNode == 0 || cfg.StoreNode == cfg.ID {
-		if cfg.LocalStore == nil {
-			return nil, fmt.Errorf("node %v: store node needs a LocalStore", cfg.ID)
-		}
-		n.store = cfg.LocalStore
-		n.servesStore = true
-	} else {
-		n.store = &RemoteStore{node: n, to: cfg.StoreNode}
+	//
+	// The store plane: one Replicated client per partition (failing over
+	// across its replica set), routed by a Partitioned client. A replica
+	// naming this node serves from LocalStore without a mesh hop.
+	layout := cfg.StoreReplicas
+	if len(layout) == 0 {
+		layout = []StorePartition{{Replicas: []transport.NodeID{cfg.ID}}}
 	}
+	parts := make([]*cloudstore.Replicated, 0, len(layout))
+	for i, sp := range layout {
+		if len(sp.Replicas) == 0 {
+			return nil, fmt.Errorf("node %v: store partition %d has no replicas", cfg.ID, i)
+		}
+		replicas := make([]cloudstore.ReplicaAPI, 0, len(sp.Replicas))
+		for _, rep := range sp.Replicas {
+			if rep == cfg.ID {
+				if cfg.LocalStore == nil {
+					return nil, fmt.Errorf("node %v: named as store replica but has no LocalStore", cfg.ID)
+				}
+				replicas = append(replicas, cfg.LocalStore)
+				n.servesStore = true
+				continue
+			}
+			replicas = append(replicas, &RemoteStore{node: n, to: rep})
+		}
+		parts = append(parts, cloudstore.NewReplicated(i, replicas...))
+	}
+	n.store = cloudstore.NewPartitioned(parts...)
 	if cfg.Replicate {
 		// The replicated ownership-metadata control plane: structural
 		// mutations captured on this node append to the shared log, and the
@@ -999,13 +993,13 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 	return nil
 }
 
-// handleStore serves one cloud-store operation from the authoritative local
-// store. Non-store nodes refuse typed, so a misconfigured peer fails fast.
+// handleStore serves one cloud-store operation from the node's LocalStore
+// replica. Nodes that serve no replica refuse typed, so a misconfigured
+// peer fails fast.
 func (n *Node) handleStore(req *schema.StoreReq) schema.StoreResp {
-	st := n.cfg.LocalStore
-	if !n.servesStore || st == nil {
+	if !n.servesStore {
 		msg, kind := errFields(fmt.Errorf("node %v: %w", n.id, ErrNotStoreNode))
 		return schema.StoreResp{Err: msg, ErrKind: kind}
 	}
-	return execStoreOp(st, n.id, req)
+	return execStoreOp(n.cfg.LocalStore, n.id, req)
 }

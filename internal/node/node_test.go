@@ -104,9 +104,11 @@ func TestSubmitUnknownContextTypedError(t *testing.T) {
 
 func TestRemoteStoreOps(t *testing.T) {
 	d := deploy(t, 2)
-	rs := d.Nodes[1].Store() // node 2 reaches node 1's store over the mesh
-	if _, ok := rs.(*RemoteStore); !ok {
-		t.Fatalf("node 2 store is %T, want *RemoteStore", rs)
+	// Node 2 reaches node 1's store over the mesh: a one-partition plane
+	// whose one replica is a RemoteStore to node 1.
+	rs := d.Nodes[1].Store()
+	if p, ok := rs.(*cloudstore.Partitioned); !ok || p.Parts() != 1 {
+		t.Fatalf("node 2 store is %T, want a one-partition *cloudstore.Partitioned", rs)
 	}
 
 	v1, err := rs.Put("k", []byte("a"))
@@ -140,11 +142,11 @@ func TestRemoteStoreOps(t *testing.T) {
 		t.Fatalf("double delete err = %v, want ErrNotFound", err)
 	}
 	// Everything landed on node 1's authoritative store.
-	if _, _, err := d.Stores[0].Get("k"); err != nil {
-		t.Fatalf("authoritative store missing k: %v", err)
+	if keys, err := cloudstore.ReplicaKeys(d.Stores[0], 0, "k"); err != nil || len(keys) != 1 {
+		t.Fatalf("authoritative store keys %v (err=%v), want k", keys, err)
 	}
 	// Node 2's own local store was never written.
-	if keys, _ := d.Stores[1].List(""); len(keys) != 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[1], 0, ""); len(keys) != 0 {
 		t.Fatalf("non-store node's local store has %v", keys)
 	}
 }
@@ -167,7 +169,7 @@ func TestPersistMappingJournalsIntoAuthoritativeStore(t *testing.T) {
 	if err := d.Nodes[1].Manager().PersistMapping(); err != nil {
 		t.Fatalf("persist: %v", err)
 	}
-	keys, err := d.Stores[0].List("map/")
+	keys, err := cloudstore.ReplicaKeys(d.Stores[0], 0, "map/")
 	if err != nil || len(keys) == 0 {
 		t.Fatalf("authoritative store mapping keys = %v err=%v", keys, err)
 	}
@@ -227,7 +229,7 @@ func TestMeshMigrationTransfersStateBetweenLiveNodes(t *testing.T) {
 		}
 	}
 	// The migration journal cleared from the authoritative store.
-	if keys, _ := d.Stores[0].List("wal/migration/"); len(keys) != 0 {
+	if keys, _ := cloudstore.ReplicaKeys(d.Stores[0], 0, "wal/migration/"); len(keys) != 0 {
 		t.Fatalf("migration WAL not cleared: %v", keys)
 	}
 }

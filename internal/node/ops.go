@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"aeon/internal/cloudstore"
 	"aeon/internal/ops"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
@@ -107,26 +106,21 @@ func (n *Node) registerOps() {
 	reg.Histogram("aeon_migration_stop_seconds",
 		"Full-stop window duration per group migration (event unavailability).", nil, &eng.StopTime)
 
-	if part, ok := n.store.(*cloudstore.Partitioned); ok {
-		for i := 0; i < part.Parts(); i++ {
-			rep, ok := part.Partition(i).(*cloudstore.Replicated)
-			if !ok {
-				continue
-			}
-			lbl := ops.Labels{"part": strconv.Itoa(rep.Part())}
-			reg.Gauge("aeon_store_fence_epoch",
-				"Fence epoch of this node's view of the partition.", lbl,
-				func() float64 { e, _ := rep.View(); return float64(e) })
-			reg.Counter("aeon_store_fence_advances_total",
-				"Fence-epoch advances (failovers) this node observed.", lbl, rep.FenceAdvances)
-			reg.Counter("aeon_store_quorum_failures_total",
-				"Writes and fence spreads refused for lack of a replica majority.", lbl, rep.QuorumFailures)
-			rep.SetOnFenceAdvance(func(partIdx int, epoch uint64) {
-				reg.Emit("store.fence_advance", map[string]any{
-					"node": int64(n.id), "part": partIdx, "epoch": epoch,
-				})
+	for i := 0; i < n.store.Parts(); i++ {
+		rep := n.store.Partition(i)
+		lbl := ops.Labels{"part": strconv.Itoa(rep.Part())}
+		reg.Gauge("aeon_store_fence_epoch",
+			"Fence epoch of this node's view of the partition.", lbl,
+			func() float64 { e, _ := rep.View(); return float64(e) })
+		reg.Counter("aeon_store_fence_advances_total",
+			"Fence-epoch advances (failovers) this node observed.", lbl, rep.FenceAdvances)
+		reg.Counter("aeon_store_quorum_failures_total",
+			"Writes and fence spreads refused for lack of a replica majority.", lbl, rep.QuorumFailures)
+		rep.SetOnFenceAdvance(func(partIdx int, epoch uint64) {
+			reg.Emit("store.fence_advance", map[string]any{
+				"node": int64(n.id), "part": partIdx, "epoch": epoch,
 			})
-		}
+		})
 	}
 }
 

@@ -64,6 +64,15 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 	if !strings.Contains(b2.String(), "aeon_node_submits_executed_total 1") {
 		t.Fatalf("node 2 executed counter not live:\n%s", b2.String())
 	}
+
+	// A single store node is a one-partition, one-replica store plane, so
+	// both the store node and its remote client export the partition's
+	// fence view — at the boot epoch, since a lone replica never fails over.
+	for i, exp := range []string{out, b2.String()} {
+		if !strings.Contains(exp, `aeon_store_fence_epoch{part="0"} 1`) {
+			t.Fatalf("node %d exposition missing the store partition's fence epoch:\n%s", i+1, exp)
+		}
+	}
 }
 
 // TestOpsPlaneMigrationEvents pins the structural event feed: a commanded

@@ -11,11 +11,12 @@ import (
 )
 
 // RemoteStore is a cloudstore.ReplicaAPI client over the transport mesh:
-// every operation is one request/response exchange with a store replica, so
-// all processes of a deployment journal migrations, mappings, and
-// checkpoints into one authoritative store plane — the paper's cloud-storage
-// role (§ 5.1), with store-server processes (or a store-serving node)
-// standing in for ZooKeeper/S3.
+// every fenced operation is one request/response exchange with a store
+// replica. Wrapped as a replica of a cloudstore.Replicated, it lets all
+// processes of a deployment journal migrations, mappings, and checkpoints
+// into one authoritative store plane — the paper's cloud-storage role
+// (§ 5.1), with store-server processes (or a store-serving node) standing
+// in for ZooKeeper/S3.
 //
 // Every call runs under a context derived from the owner's lifecycle (the
 // node's base context, canceled on Close): when a partition client abandons
@@ -93,86 +94,7 @@ func (r *RemoteStore) call(req schema.StoreReq) (schema.StoreResp, error) {
 	return resp, nil
 }
 
-// Get implements cloudstore.API.
-func (r *RemoteStore) Get(key string) ([]byte, uint64, error) {
-	resp, err := r.call(schema.StoreReq{Op: storeGet, Key: key})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Value, resp.Version, nil
-}
-
-// Put implements cloudstore.API.
-func (r *RemoteStore) Put(key string, value []byte) (uint64, error) {
-	resp, err := r.call(schema.StoreReq{Op: storePut, Key: key, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// PutBatch implements cloudstore.API: the whole batch is one mesh round
-// trip and one charged store write, preserving the batched-migration and
-// batched-checkpoint cost model across the process boundary.
-func (r *RemoteStore) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(schema.StoreReq{Op: storePutBatch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CreateBatch implements cloudstore.API: atomic create-only batch in one
-// mesh round trip and one charged store write.
-func (r *RemoteStore) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(schema.StoreReq{Op: storeCreateBatch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CAS implements cloudstore.API.
-func (r *RemoteStore) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	resp, err := r.call(schema.StoreReq{Op: storeCAS, Key: key, Expect: expect, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// Delete implements cloudstore.API.
-func (r *RemoteStore) Delete(key string) error {
-	_, err := r.call(schema.StoreReq{Op: storeDelete, Key: key})
-	return err
-}
-
-// DeleteBatch implements cloudstore.API: one mesh round trip, one charged
-// write for the whole prune.
-func (r *RemoteStore) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	_, err := r.call(schema.StoreReq{Op: storeDelBatch, Keys: keys})
-	return err
-}
-
-// List implements cloudstore.API.
-func (r *RemoteStore) List(prefix string) ([]string, error) {
-	resp, err := r.call(schema.StoreReq{Op: storeList, Key: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
-}
-
-// GetF implements cloudstore.ReplicaAPI: Get under the partition fence.
+// GetF implements cloudstore.ReplicaAPI: a fenced read of one key.
 func (r *RemoteStore) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
 	resp, err := r.call(schema.StoreReq{Op: storeGetF, Part: part, Epoch: epoch, Key: key})
 	if err != nil {
@@ -181,7 +103,7 @@ func (r *RemoteStore) GetF(part int, epoch uint64, key string) ([]byte, uint64, 
 	return resp.Value, resp.Version, nil
 }
 
-// ListF implements cloudstore.ReplicaAPI: List under the partition fence.
+// ListF implements cloudstore.ReplicaAPI: a fenced prefix listing.
 func (r *RemoteStore) ListF(part int, epoch uint64, prefix string) ([]string, error) {
 	resp, err := r.call(schema.StoreReq{Op: storeListF, Part: part, Epoch: epoch, Key: prefix})
 	if err != nil {
@@ -190,7 +112,7 @@ func (r *RemoteStore) ListF(part int, epoch uint64, prefix string) ([]string, er
 	return resp.Keys, nil
 }
 
-// PutF implements cloudstore.ReplicaAPI: Put under the partition fence.
+// PutF implements cloudstore.ReplicaAPI: a fenced unconditional write.
 func (r *RemoteStore) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
 	resp, err := r.call(schema.StoreReq{Op: storePutF, Part: part, Epoch: epoch, Key: key, Value: value})
 	if err != nil {
@@ -199,8 +121,10 @@ func (r *RemoteStore) PutF(part int, epoch uint64, key string, value []byte) (ui
 	return resp.Version, nil
 }
 
-// PutBatchF implements cloudstore.ReplicaAPI: PutBatch under the partition
-// fence.
+// PutBatchF implements cloudstore.ReplicaAPI: the whole fenced batch is one
+// mesh round trip and one charged store write, preserving the
+// batched-migration and batched-checkpoint cost model across the process
+// boundary.
 func (r *RemoteStore) PutBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -212,8 +136,8 @@ func (r *RemoteStore) PutBatchF(part int, epoch uint64, entries map[string][]byt
 	return resp.Version, nil
 }
 
-// CreateBatchF implements cloudstore.ReplicaAPI: CreateBatch under the
-// partition fence.
+// CreateBatchF implements cloudstore.ReplicaAPI: a fenced atomic
+// create-only batch in one mesh round trip.
 func (r *RemoteStore) CreateBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -225,7 +149,7 @@ func (r *RemoteStore) CreateBatchF(part int, epoch uint64, entries map[string][]
 	return resp.Version, nil
 }
 
-// CASF implements cloudstore.ReplicaAPI: CAS under the partition fence.
+// CASF implements cloudstore.ReplicaAPI: a fenced compare-and-swap.
 func (r *RemoteStore) CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error) {
 	resp, err := r.call(schema.StoreReq{Op: storeCASF, Part: part, Epoch: epoch, Key: key, Expect: expect, Value: value})
 	if err != nil {
@@ -288,27 +212,12 @@ func (r *RemoteStore) FenceEpoch(part int) (uint64, error) {
 // execStoreOp executes one store wire request against a replica surface. It
 // is the single translation point between store frames and
 // cloudstore.ReplicaAPI, shared by store-serving nodes and dedicated store
-// servers so both speak exactly the same protocol.
+// servers so both speak exactly the same protocol. Every data op is fenced;
+// any other selector is refused as an unknown store op.
 func execStoreOp(st cloudstore.ReplicaAPI, owner transport.NodeID, req *schema.StoreReq) schema.StoreResp {
 	var resp schema.StoreResp
 	var err error
 	switch req.Op {
-	case storeGet:
-		resp.Value, resp.Version, err = st.Get(req.Key)
-	case storePut:
-		resp.Version, err = st.Put(req.Key, req.Value)
-	case storePutBatch:
-		resp.Version, err = st.PutBatch(req.Entries)
-	case storeCreateBatch:
-		resp.Version, err = st.CreateBatch(req.Entries)
-	case storeCAS:
-		resp.Version, err = st.CAS(req.Key, req.Expect, req.Value)
-	case storeDelete:
-		err = st.Delete(req.Key)
-	case storeDelBatch:
-		err = st.DeleteBatch(req.Keys)
-	case storeList:
-		resp.Keys, err = st.List(req.Key)
 	case storeGetF:
 		resp.Value, resp.Version, err = st.GetF(req.Part, req.Epoch, req.Key)
 	case storeListF:

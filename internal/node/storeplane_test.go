@@ -11,10 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -45,21 +47,24 @@ func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 // op: ErrUnavailable for all of them (a downed replica must look downed, or
 // failover never triggers), and the op-specific semantic sentinels
 // (ErrNotFound, ErrVersionMismatch, ErrFenced) where the op can produce
-// them.
+// them. The client-API rows (Get … List) run through a one-replica
+// Replicated over the RemoteStore — the single-store deployment — whose
+// errors must reach the caller as the replica reported them.
 func TestStoreWireSentinelRoundTrip(t *testing.T) {
+	single := func(r *RemoteStore) *cloudstore.Replicated { return cloudstore.NewReplicated(0, r) }
 	// Every op, for the all-ops ErrUnavailable sweep.
 	allOps := []struct {
 		name string
 		op   func(r *RemoteStore) error
 	}{
-		{"Get", func(r *RemoteStore) error { _, _, err := r.Get("k"); return err }},
-		{"Put", func(r *RemoteStore) error { _, err := r.Put("k", nil); return err }},
-		{"PutBatch", func(r *RemoteStore) error { _, err := r.PutBatch(map[string][]byte{"k": nil}); return err }},
-		{"CreateBatch", func(r *RemoteStore) error { _, err := r.CreateBatch(map[string][]byte{"k": nil}); return err }},
-		{"CAS", func(r *RemoteStore) error { _, err := r.CAS("k", 0, nil); return err }},
-		{"Delete", func(r *RemoteStore) error { return r.Delete("k") }},
-		{"DeleteBatch", func(r *RemoteStore) error { return r.DeleteBatch([]string{"k"}) }},
-		{"List", func(r *RemoteStore) error { _, err := r.List(""); return err }},
+		{"Get", func(r *RemoteStore) error { _, _, err := single(r).Get("k"); return err }},
+		{"Put", func(r *RemoteStore) error { _, err := single(r).Put("k", nil); return err }},
+		{"PutBatch", func(r *RemoteStore) error { _, err := single(r).PutBatch(map[string][]byte{"k": nil}); return err }},
+		{"CreateBatch", func(r *RemoteStore) error { _, err := single(r).CreateBatch(map[string][]byte{"k": nil}); return err }},
+		{"CAS", func(r *RemoteStore) error { _, err := single(r).CAS("k", 0, nil); return err }},
+		{"Delete", func(r *RemoteStore) error { return single(r).Delete("k") }},
+		{"DeleteBatch", func(r *RemoteStore) error { return single(r).DeleteBatch([]string{"k"}) }},
+		{"List", func(r *RemoteStore) error { _, err := single(r).List(""); return err }},
 		{"GetF", func(r *RemoteStore) error { _, _, err := r.GetF(0, 1, "k"); return err }},
 		{"ListF", func(r *RemoteStore) error { _, err := r.ListF(0, 1, ""); return err }},
 		{"PutF", func(r *RemoteStore) error { _, err := r.PutF(0, 1, "k", nil); return err }},
@@ -83,6 +88,8 @@ func TestStoreWireSentinelRoundTrip(t *testing.T) {
 	}
 
 	// Op-specific semantic sentinels.
+	putK := func(st *cloudstore.Store) { _, _ = st.PutF(0, 1, "k", []byte("v")) }
+	fence5 := func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) }
 	semantic := []struct {
 		name  string
 		setup func(st *cloudstore.Store)
@@ -90,62 +97,48 @@ func TestStoreWireSentinelRoundTrip(t *testing.T) {
 		want  error
 	}{
 		{"Get/NotFound", nil,
-			func(r *RemoteStore) error { _, _, err := r.Get("ghost"); return err }, cloudstore.ErrNotFound},
+			func(r *RemoteStore) error { _, _, err := single(r).Get("ghost"); return err }, cloudstore.ErrNotFound},
 		{"Delete/NotFound", nil,
-			func(r *RemoteStore) error { return r.Delete("ghost") }, cloudstore.ErrNotFound},
+			func(r *RemoteStore) error { return single(r).Delete("ghost") }, cloudstore.ErrNotFound},
 		{"GetF/NotFound", nil,
 			func(r *RemoteStore) error { _, _, err := r.GetF(0, 1, "ghost"); return err }, cloudstore.ErrNotFound},
 		{"DeleteF/NotFound", nil,
 			func(r *RemoteStore) error { _, err := r.DeleteF(0, 1, "ghost"); return err }, cloudstore.ErrNotFound},
-		{"CASF/VersionMismatch",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
+		{"CASF/VersionMismatch", putK,
 			func(r *RemoteStore) error { _, err := r.CASF(0, 1, "k", 99, nil); return err }, cloudstore.ErrVersionMismatch},
-		{"CreateBatchF/VersionMismatchExists",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
+		{"CreateBatchF/VersionMismatchExists", putK,
 			func(r *RemoteStore) error {
 				_, err := r.CreateBatchF(0, 1, map[string][]byte{"k": nil})
 				return err
 			}, cloudstore.ErrVersionMismatch},
-		{"GetF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"GetF/Fenced", fence5,
 			func(r *RemoteStore) error { _, _, err := r.GetF(0, 2, "k"); return err }, cloudstore.ErrFenced},
-		{"ListF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"ListF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.ListF(0, 2, ""); return err }, cloudstore.ErrFenced},
-		{"PutF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"PutF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.PutF(0, 2, "k", nil); return err }, cloudstore.ErrFenced},
-		{"PutBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"PutBatchF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.PutBatchF(0, 2, map[string][]byte{"k": nil}); return err }, cloudstore.ErrFenced},
-		{"CreateBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"CreateBatchF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.CreateBatchF(0, 2, map[string][]byte{"k": nil}); return err }, cloudstore.ErrFenced},
-		{"CASF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"CASF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.CASF(0, 2, "k", 0, nil); return err }, cloudstore.ErrFenced},
-		{"DeleteF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"DeleteF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.DeleteF(0, 2, "k"); return err }, cloudstore.ErrFenced},
-		{"DeleteBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"DeleteBatchF/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.DeleteBatchF(0, 2, []string{"k"}); return err }, cloudstore.ErrFenced},
-		{"CAS/VersionMismatchConflict",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
-			func(r *RemoteStore) error { _, err := r.CAS("k", 99, nil); return err }, cloudstore.ErrVersionMismatch},
+		{"CAS/VersionMismatchConflict", putK,
+			func(r *RemoteStore) error { _, err := single(r).CAS("k", 99, nil); return err }, cloudstore.ErrVersionMismatch},
 		{"CAS/VersionMismatchMissing", nil,
-			func(r *RemoteStore) error { _, err := r.CAS("ghost", 3, nil); return err }, cloudstore.ErrVersionMismatch},
-		{"CreateBatch/VersionMismatchExists",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
+			func(r *RemoteStore) error { _, err := single(r).CAS("ghost", 3, nil); return err }, cloudstore.ErrVersionMismatch},
+		{"CreateBatch/VersionMismatchExists", putK,
 			func(r *RemoteStore) error {
-				_, err := r.CreateBatch(map[string][]byte{"k": nil, "fresh": nil})
+				_, err := single(r).CreateBatch(map[string][]byte{"k": nil, "fresh": nil})
 				return err
 			}, cloudstore.ErrVersionMismatch},
-		{"Apply/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"Apply/Fenced", fence5,
 			func(r *RemoteStore) error { return r.Apply(0, 2, cloudstore.Commit{}) }, cloudstore.ErrFenced},
-		{"Promote/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
+		{"Promote/Fenced", fence5,
 			func(r *RemoteStore) error { _, err := r.Promote(0, 2); return err }, cloudstore.ErrFenced},
 	}
 	for _, tc := range semantic {
@@ -168,6 +161,7 @@ func TestStoreWireSentinelRoundTrip(t *testing.T) {
 // identical one. Every step must return deeply equal results (so a nil
 // byte value stays nil and an empty one stays empty across the wire) and
 // the same typed error, which must satisfy errors.Is on the remote side.
+// Selectors outside the fenced set are refused as unknown store ops.
 func TestStoreFrameEverySelector(t *testing.T) {
 	type res []any
 	entries := map[string][]byte{"b": []byte("2"), "c": nil, "d": {}}
@@ -176,26 +170,26 @@ func TestStoreFrameEverySelector(t *testing.T) {
 		op   func(api cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error)
 		want error // sentinel the step must fail with, or nil for success
 	}{
-		{"get/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, ver, err := a.Get("a")
+		{"getf/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, ver, err := a.GetF(0, 1, "a")
 			return res{v, ver}, err
 		}, cloudstore.ErrNotFound},
-		{"put", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.Put("a", []byte("1"))
+		{"putf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutF(0, 1, "a", []byte("1"))
 			return res{v}, err
 		}, nil},
-		{"put/nil", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.Put("nil", nil)
+		{"putf/nil", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutF(0, 1, "nil", nil)
 			return res{v}, err
 		}, nil},
-		{"put/empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.Put("empty", []byte{})
+		{"putf/empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutF(0, 1, "empty", []byte{})
 			return res{v}, err
 		}, nil},
-		{"get", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+		{"getf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
 			var out res
 			for _, k := range []string{"a", "nil", "empty"} {
-				v, ver, err := a.Get(k)
+				v, ver, err := a.GetF(0, 1, k)
 				if err != nil {
 					return out, err
 				}
@@ -203,56 +197,60 @@ func TestStoreFrameEverySelector(t *testing.T) {
 			}
 			return out, nil
 		}, nil},
-		{"putbatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.PutBatch(entries)
+		{"putbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.PutBatchF(0, 1, entries)
 			return res{v}, err
 		}, nil},
-		{"putbatch/nil-and-empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v1, err := a.PutBatch(nil)
+		{"putbatchf/nil-and-empty", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v1, err := a.PutBatchF(0, 1, nil)
 			if err != nil {
 				return nil, err
 			}
-			v2, err := a.PutBatch(map[string][]byte{})
+			v2, err := a.PutBatchF(0, 1, map[string][]byte{})
 			return res{v1, v2}, err
 		}, nil},
-		{"createbatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.CreateBatch(map[string][]byte{"e": []byte("x"), "e/nil": nil})
+		{"createbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CreateBatchF(0, 1, map[string][]byte{"e": []byte("x"), "e/nil": nil})
 			return res{v}, err
 		}, nil},
-		{"createbatch/exists", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.CreateBatch(map[string][]byte{"a": []byte("y")})
+		{"createbatchf/exists", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CreateBatchF(0, 1, map[string][]byte{"a": []byte("y")})
 			return res{v}, err
 		}, cloudstore.ErrVersionMismatch},
-		{"cas/conflict", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.CAS("a", 999, []byte("z"))
+		{"casf/conflict", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.CASF(0, 1, "a", 999, []byte("z"))
 			return res{v}, err
 		}, cloudstore.ErrVersionMismatch},
-		{"cas", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			_, ver, err := a.Get("a")
+		{"casf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			_, ver, err := a.GetF(0, 1, "a")
 			if err != nil {
 				return nil, err
 			}
-			v, err := a.CAS("a", ver, []byte{})
+			v, err := a.CASF(0, 1, "a", ver, []byte{})
 			return res{v}, err
 		}, nil},
-		{"delete", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			return nil, a.Delete("b")
+		{"deletef", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.DeleteF(0, 1, "b")
+			return res{v}, err
 		}, nil},
-		{"delete/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			return nil, a.Delete("zz")
+		{"deletef/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v, err := a.DeleteF(0, 1, "zz")
+			return res{v}, err
 		}, cloudstore.ErrNotFound},
-		{"deletebatch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			if err := a.DeleteBatch(nil); err != nil {
-				return nil, err
-			}
-			return nil, a.DeleteBatch([]string{"c", "zz"})
-		}, nil},
-		{"list", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			all, err := a.List("")
+		{"deletebatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			v1, err := a.DeleteBatchF(0, 1, nil)
 			if err != nil {
 				return nil, err
 			}
-			none, err := a.List("no-such-prefix")
+			v2, err := a.DeleteBatchF(0, 1, []string{"c", "zz"})
+			return res{v1, v2}, err
+		}, nil},
+		{"listf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
+			all, err := a.ListF(0, 1, "")
+			if err != nil {
+				return nil, err
+			}
+			none, err := a.ListF(0, 1, "no-such-prefix")
 			return res{all, none}, err
 		}, nil},
 		{"promote", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
@@ -261,54 +259,6 @@ func TestStoreFrameEverySelector(t *testing.T) {
 		}, nil},
 		{"epoch", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
 			v, err := a.FenceEpoch(0)
-			return res{v}, err
-		}, nil},
-		{"getf/listf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, ver, err := a.GetF(0, 1, "empty")
-			if err != nil {
-				return nil, err
-			}
-			keys, err := a.ListF(0, 1, "e")
-			return res{v, ver, keys}, err
-		}, nil},
-		{"putf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v1, err := a.PutF(0, 1, "f/nil", nil)
-			if err != nil {
-				return nil, err
-			}
-			v2, err := a.PutF(0, 1, "f/empty", []byte{})
-			return res{v1, v2}, err
-		}, nil},
-		{"putbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.PutBatchF(0, 1, entries)
-			return res{v}, err
-		}, nil},
-		{"createbatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.CreateBatchF(0, 1, map[string][]byte{"g": nil})
-			return res{v}, err
-		}, nil},
-		{"casf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			_, ver, err := a.GetF(0, 1, "g")
-			if err != nil {
-				return nil, err
-			}
-			v, err := a.CASF(0, 1, "g", ver, []byte("g2"))
-			return res{v}, err
-		}, nil},
-		{"casf/conflict", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.CASF(0, 1, "g", 1, nil)
-			return res{v}, err
-		}, cloudstore.ErrVersionMismatch},
-		{"deletef", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.DeleteF(0, 1, "g")
-			return res{v}, err
-		}, nil},
-		{"deletef/missing", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.DeleteF(0, 1, "g")
-			return res{v}, err
-		}, cloudstore.ErrNotFound},
-		{"deletebatchf", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
-			v, err := a.DeleteBatchF(0, 1, []string{"d", "f/nil", "zz"})
 			return res{v}, err
 		}, nil},
 		{"apply", func(a cloudstore.ReplicaAPI, _ *cloudstore.Store) (res, error) {
@@ -352,10 +302,10 @@ func TestStoreFrameEverySelector(t *testing.T) {
 			}
 			return res{v}, err
 		}, cloudstore.ErrFenced},
-		{"get/unavailable", func(a cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error) {
+		{"getf/unavailable", func(a cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error) {
 			st.Fail()
 			defer st.Recover()
-			v, ver, err := a.Get("a")
+			v, ver, err := a.GetF(0, 5, "a")
 			return res{v, ver}, err
 		}, cloudstore.ErrUnavailable},
 		{"putf/unavailable", func(a cloudstore.ReplicaAPI, st *cloudstore.Store) (res, error) {
@@ -387,6 +337,20 @@ func TestStoreFrameEverySelector(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: remote %#v; local %#v", step.name, got, want)
+		}
+	}
+
+	// The unfenced selectors are gone from the wire: a frame carrying one
+	// is refused as an unknown store op, never executed.
+	for _, op := range []string{"get", "put", "putbatch", "createbatch", "cas", "delete", "deletebatch", "list"} {
+		_, err := remote.call(schema.StoreReq{Op: op, Key: "a", Value: []byte("x")})
+		if err == nil || !strings.Contains(err.Error(), "unknown store op") {
+			t.Fatalf("selector %q: err = %v; want an unknown store op refusal", op, err)
+		}
+		for _, s := range sentinels {
+			if errors.Is(err, s) {
+				t.Fatalf("selector %q: refusal %v reads as %v", op, err, s)
+			}
 		}
 	}
 }
@@ -432,7 +396,7 @@ func TestRemoteStoreHonorsBaseContext(t *testing.T) {
 	cancel()
 	r := NewRemoteStore(ep, StoreIDBase+1, time.Hour, base)
 	start := time.Now()
-	_, werr := r.Put("k", nil)
+	_, werr := r.PutF(0, 1, "k", nil)
 	if werr == nil {
 		t.Fatal("call under a canceled lifecycle must fail")
 	}
@@ -480,7 +444,7 @@ func TestStorePlaneDeploymentMatchesOracle(t *testing.T) {
 
 	// The plane really is sharded: both partitions' primaries hold keys.
 	for p := 0; p < 2; p++ {
-		keys, err := d.StoreBackends[StoreRF*p].List("")
+		keys, err := cloudstore.ReplicaKeys(d.StoreBackends[StoreRF*p], p, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +457,7 @@ func TestStorePlaneDeploymentMatchesOracle(t *testing.T) {
 // replogPartition reports which of n partitions owns the replication log's
 // record keys (the CAS-sequenced commit point — the hottest store state).
 func replogPartition(n int) int {
-	probe := cloudstore.NewPartitioned(make([]cloudstore.API, n)...)
+	probe := cloudstore.NewPartitioned(make([]*cloudstore.Replicated, n)...)
 	return probe.PartitionOf("replog/rec/00000000000000000001")
 }
 
@@ -550,7 +514,7 @@ func TestStoreFailoverChaos(t *testing.T) {
 	if epoch < 2 {
 		t.Fatalf("replog partition fence epoch = %d; follower was never promoted", epoch)
 	}
-	keys, err := fol.List("replog/rec/")
+	keys, err := cloudstore.ReplicaKeys(fol, p, "replog/rec/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +527,7 @@ func TestStoreFailoverChaos(t *testing.T) {
 	// primary past the follower's set would be an acked-but-lost write;
 	// the fence makes that impossible, so the follower's log is a superset.
 	dead := d.StoreBackends[StoreRF*p]
-	deadKeys, err := dead.List("replog/rec/")
+	deadKeys, err := cloudstore.ReplicaKeys(dead, p, "replog/rec/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,7 +598,7 @@ func TestStorePlaneDiskBackend(t *testing.T) {
 	diffScripts(t, "dynamic", dynamic, wantDynamic)
 	wantKeys := make([]int, 2)
 	for p := 0; p < 2; p++ {
-		keys, err := d.StoreBackends[StoreRF*p].List("")
+		keys, err := cloudstore.ReplicaKeys(d.StoreBackends[StoreRF*p], p, "")
 		if err != nil {
 			d.Close()
 			t.Fatal(err)
@@ -652,7 +616,7 @@ func TestStorePlaneDiskBackend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys, err := re.List("")
+		keys, err := cloudstore.ReplicaKeys(re, p, "")
 		re.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -29,6 +29,21 @@ const StoreIDBase transport.NodeID = 1 << 20
 // set holds it, and a failover fence only takes effect on a majority).
 const StoreRF = 3
 
+// StorePartitions derives the replica sets of an n-partition store plane:
+// partition p's replica r is StoreIDBase + StoreRF*p + r + 1, boot primary
+// first. Every process of a deployment derives the same list.
+func StorePartitions(n int) []StorePartition {
+	parts := make([]StorePartition, n)
+	for p := range parts {
+		ids := make([]transport.NodeID, StoreRF)
+		for r := range ids {
+			ids[r] = StoreIDBase + transport.NodeID(StoreRF*p+r+1)
+		}
+		parts[p] = StorePartition{Replicas: ids}
+	}
+	return parts
+}
+
 // StoreServer is a dedicated store-replica process attachment: it serves
 // the cloud-store wire protocol (KindStore, via the same execStoreOp as
 // store-serving nodes) from a pluggable backend, answers pings, and honors

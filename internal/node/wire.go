@@ -33,7 +33,8 @@ const (
 	// one frame: one admission, one response, per-event outcomes
 	// (schema.SubmitBatchReq/Resp). Nodes forward only in batch frames.
 	KindSubmitBatch = "node.submit.batch"
-	// KindStore performs one cloud-store operation on the store node.
+	// KindStore performs one fenced cloud-store operation on a store
+	// replica (a dedicated store server or a store-serving node).
 	KindStore = "node.store"
 	// KindTransfer installs a migrated group's state on the destination
 	// node (migration protocol step IV over the mesh).
@@ -89,20 +90,11 @@ var (
 	ErrNotLocalServer = errors.New("node: server not embodied by this node")
 )
 
-// Store operation selectors (schema.StoreReq.Op).
+// Store operation selectors (schema.StoreReq.Op): cloudstore.ReplicaAPI
+// over the mesh — the fenced per-op surface (every op carries its partition
+// and fence epoch), fenced commit application, and fence
+// promotion/inspection for partition failover.
 const (
-	storeGet         = "get"
-	storePut         = "put"
-	storePutBatch    = "putbatch"
-	storeCreateBatch = "createbatch"
-	storeCAS         = "cas"
-	storeDelete      = "delete"
-	storeDelBatch    = "deletebatch"
-	storeList        = "list"
-	// Replica-plane selectors (cloudstore.ReplicaAPI over the mesh): the
-	// fenced per-op surface (every op of a replicated deployment carries
-	// its partition and fence epoch), fenced commit application, and fence
-	// promotion/inspection for partition failover.
 	storeGetF         = "getf"
 	storeListF        = "listf"
 	storePutF         = "putf"

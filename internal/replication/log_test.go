@@ -54,7 +54,7 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestHeadHintAdvancesForwardOnly(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	advanceHead(store, 5)
 	if h := readHead(store); h != 5 {
 		t.Fatalf("head = %d, want 5", h)

@@ -97,7 +97,7 @@ func graphFingerprint(t *testing.T, g *ownership.Graph) string {
 
 func TestPlaneSequencesCreateThroughLog(t *testing.T) {
 	rt, roots := newTestRuntime(t, 2)
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	p := newTestPlane(t, rt, store, 1)
 
 	// The runtime redirect: CreateContextOn goes through the log.
@@ -142,7 +142,7 @@ func TestPlaneSequencesCreateThroughLog(t *testing.T) {
 }
 
 func TestTwoReplicasAssignIdenticalIDs(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, rootsA := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
@@ -190,7 +190,7 @@ func TestTwoReplicasAssignIdenticalIDs(t *testing.T) {
 }
 
 func TestConcurrentAppendersConvergeUnderContention(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, rootsA := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
@@ -254,7 +254,7 @@ func TestConcurrentAppendersConvergeUnderContention(t *testing.T) {
 }
 
 func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rt, roots := newTestRuntime(t, 1)
 	p := newTestPlane(t, rt, store, 1)
 
@@ -282,7 +282,7 @@ func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
 }
 
 func TestDeterministicApplyErrors(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, rootsA := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
@@ -309,7 +309,7 @@ func TestDeterministicApplyErrors(t *testing.T) {
 }
 
 func TestServerMembershipReplicates(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, _ := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
@@ -342,7 +342,7 @@ func TestServerMembershipReplicates(t *testing.T) {
 }
 
 func TestWaitForReachesAndTimesOut(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, rootsA := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
@@ -398,7 +398,7 @@ func (s *lostAckStore) CAS(key string, expect uint64, value []byte) (uint64, err
 // fail a mutation the whole fleet is about to apply (which would invite a
 // duplicating retry).
 func TestAppendSurvivesLostCASAck(t *testing.T) {
-	inner := cloudstore.New()
+	inner := cloudstore.NewReplicated(0, cloudstore.New())
 	store := &lostAckStore{API: inner}
 	rt, roots := newTestRuntime(t, 1)
 	p := newTestPlane(t, rt, store, 1)
@@ -423,7 +423,7 @@ func TestAppendSurvivesLostCASAck(t *testing.T) {
 }
 
 func TestRemoveServerValidatesDrainAtCapture(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rt, roots := newTestRuntime(t, 2)
 	p := newTestPlane(t, rt, store, 1)
 	_ = roots
@@ -446,7 +446,7 @@ func TestRemoveServerValidatesDrainAtCapture(t *testing.T) {
 // — applying it on another replica could attach to a different virtual, or
 // none, and desync the ID allocator.
 func TestVirtualIDsRejectedAtCapture(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rt, roots := newTestRuntime(t, 1)
 	p := newTestPlane(t, rt, store, 1)
 
@@ -466,7 +466,7 @@ func TestVirtualIDsRejectedAtCapture(t *testing.T) {
 }
 
 func TestRejoiningReplicaReplaysLogOnStart(t *testing.T) {
-	store := cloudstore.New()
+	store := cloudstore.NewReplicated(0, cloudstore.New())
 	rtA, rootsA := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
 	var created []ownership.ID

@@ -730,12 +730,19 @@ type muxJob struct {
 }
 
 // muxWorkerPool runs handler jobs on a dynamically sized, bounded set of
-// workers: a job spawns a worker only when none is idle and the pool is
-// below its cap, and workers exit after an idle timeout — so a steady
-// pipeline reuses the same few goroutines instead of paying a
+// workers: a job spawns a worker only when no idle worker is left for it
+// and the pool is below its cap, and workers exit after an idle timeout —
+// so a steady pipeline reuses the same few goroutines instead of paying a
 // goroutine-per-frame spawn, while a deep burst still fans out to
 // MuxWindow-way concurrency (parked handlers hold workers, as the
 // pipelining tests require).
+//
+// idle counts idle tokens: parked workers minus queued jobs already
+// counting on one. A parked worker adds its token; dispatch claims one per
+// job and spawns when none was left. A worker that received a job took it
+// through a claimed token, so it never decrements — that is what keeps a
+// burst from reading a worker that is already busy as idle and stranding
+// jobs behind handlers that block.
 type muxWorkerPool struct {
 	work    chan muxJob
 	handle  func(muxJob)
@@ -753,17 +760,32 @@ func newMuxWorkerPool(max int, handle func(muxJob)) *muxWorkerPool {
 	}
 }
 
-// dispatch queues one job, growing the pool if nobody is idle. The
-// spawn-vs-idle-exit race is closed on the worker side: a worker drains the
-// queue once more after deciding to exit, so a job enqueued against a
-// dying worker is either picked up by it or sees workers below cap on the
-// next dispatch.
+// dispatch queues one job and claims an idle token for it, growing the
+// pool when no token was left.
 func (p *muxWorkerPool) dispatch(j muxJob) {
 	p.work <- j
-	if p.idle.Load() == 0 && p.workers.Load() < p.max {
+	if p.idle.Add(-1) < 0 && p.workers.Load() < p.max {
 		p.workers.Add(1)
 		p.wg.Add(1)
 		go p.worker()
+	}
+}
+
+// retire takes an idle-timed-out worker's token back so it can exit. It
+// fails when no token is left: a dispatcher has claimed it for a queued
+// job, so the worker must keep receiving. The worker leaves the count
+// first, so a dispatch racing the retirement sees room to spawn.
+func (p *muxWorkerPool) retire() bool {
+	p.workers.Add(-1)
+	for {
+		n := p.idle.Load()
+		if n <= 0 {
+			p.workers.Add(1)
+			return false
+		}
+		if p.idle.CompareAndSwap(n, n-1) {
+			return true
+		}
 	}
 }
 
@@ -780,30 +802,21 @@ func (p *muxWorkerPool) worker() {
 			}
 		}
 		timer.Reset(muxWorkerIdle)
+		var j muxJob
+		var ok bool
 		select {
-		case j, ok := <-p.work:
-			p.idle.Add(-1)
-			if !ok {
-				p.workers.Add(-1)
-				return
-			}
-			p.handle(j)
+		case j, ok = <-p.work:
 		case <-timer.C:
-			p.idle.Add(-1)
-			// Final non-blocking drain before leaving, closing the race with
-			// a dispatch that saw this worker as idle.
-			select {
-			case j, ok := <-p.work:
-				if !ok {
-					p.workers.Add(-1)
-					return
-				}
-				p.handle(j)
-			default:
-				p.workers.Add(-1)
+			if p.retire() {
 				return
 			}
+			j, ok = <-p.work
 		}
+		if !ok {
+			p.workers.Add(-1)
+			return
+		}
+		p.handle(j)
 	}
 }
 
